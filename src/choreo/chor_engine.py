@@ -42,10 +42,10 @@ from .core import (
     ValCom,
     Value,
     Var,
-    chor_key,
     constraint_key,
     eta_key,
     expr_key,
+    known_pn,
     pn_etas,
     sender_of,
     sorted_etas,
@@ -166,19 +166,26 @@ def initial_configuration(program) -> Configuration:
 
 
 def normalize(c):
-    if isinstance(c, Prefix):
-        cont = normalize(c.cont)
-        if not c.etas:
-            return cont
-        return Prefix(c.etas, c.connector, cont)
-    if isinstance(c, Cond):
-        return Cond(c.process, c.guard, normalize(c.then_branch), normalize(c.else_branch))
-    if isinstance(c, Def):
+    """Drop empty interaction sets and defs whose scope has ended.
+
+    A term whose `normal` flag is set comes back as it is.  Otherwise only
+    the part above its first normal node is rebuilt, in a loop along the
+    prefix spine."""
+    if c.normal:
+        return c
+    spine: list[Prefix] = []
+    while isinstance(c, Prefix) and not c.normal:
+        spine.append(c)
+        c = c.cont
+    if isinstance(c, Cond) and not c.normal:
+        c = Cond(c.process, c.guard, normalize(c.then_branch), normalize(c.else_branch))
+    elif isinstance(c, Def) and not c.normal:
         body = normalize(c.body)
         cont = normalize(c.cont)
-        if isinstance(cont, End):
-            return END
-        return Def(c.name, body, cont)
+        c = END if isinstance(cont, End) else Def(c.name, body, cont)
+    for p in reversed(spine):
+        if p.etas:
+            c = Prefix(p.etas, p.connector, c)
     return c
 
 
@@ -470,15 +477,42 @@ def _valid_splits(etas: frozenset[Interaction]) -> list[frozenset[Interaction]]:
     return out
 
 
-def _exposures(c, env: dict, unfolded: frozenset, allow_unfold: bool):
+def _exposures(
+    c,
+    env: dict,
+    unfolded: frozenset,
+    allow_unfold: bool,
+    above: frozenset = frozenset(),
+    blocked: frozenset = frozenset(),
+):
+    """Eta and cond exposures of c.  `above` holds the processes of the
+    nearest enclosing prefix, `blocked` those of the two nearest."""
     if isinstance(c, End):
         return [], []
     if isinstance(c, Call):
         if allow_unfold and c.name in env and c.name not in unfolded:
-            return _exposures(env[c.name], env, unfolded | {c.name}, allow_unfold)
+            return _exposures(
+                env[c.name], env, unfolded | {c.name}, allow_unfold, above, blocked
+            )
         return [], []
     if isinstance(c, Prefix):
+        # Skip c when the processes of the two nearest enclosing prefixes,
+        # P1 and P2, cover all of c's: nothing in c can reach the head then,
+        # so on a chain the walk, and a step, cost O(1) in the length of the
+        # rest of the term.  This is exact.  An exposure E from c passes P1
+        # only if pn(E) is disjoint from pn(P1), so pn(E) lies within pn(P2).
+        # At P1 it passes as it is, or, on P1's connector, merges into a set
+        # that keeps at least one member of E.  Either way P2 blocks it,
+        # before any merge there.  A cond exposure's process lies in pn(c)
+        # and is blocked the same way.  Covering by all enclosing prefixes
+        # would not be exact: a second merge, at P2, may keep only members
+        # of P1, and then nothing above need block the set.
         etas, gamma, cont = c.etas, c.connector, c.cont
+        my_pn = pn_etas(etas)
+        if my_pn <= blocked:  # only then can the whole of c be covered
+            procs = known_pn(c)
+            if procs is not None and procs <= blocked:
+                return [], []
         eta_out: list[EtaExposure] = []
         for subset in _valid_splits(etas):
             rest = etas - subset
@@ -491,8 +525,9 @@ def _exposures(c, env: dict, unfolded: frozenset, allow_unfold: bool):
                     ),
                 )
             )
-        sub_etas, sub_conds = _exposures(cont, env, unfolded, allow_unfold)
-        my_pn = pn_etas(etas)
+        sub_etas, sub_conds = _exposures(
+            cont, env, unfolded, allow_unfold, my_pn, my_pn | above
+        )
         for ex in sub_etas:
             if pn_etas(ex.etas) & my_pn:
                 continue
@@ -537,8 +572,8 @@ def _exposures(c, env: dict, unfolded: frozenset, allow_unfold: bool):
             )
         return eta_out, cond_out
     if isinstance(c, Cond):
-        e1, c1 = _exposures(c.then_branch, env, unfolded, allow_unfold)
-        e2, c2 = _exposures(c.else_branch, env, unfolded, allow_unfold)
+        e1, c1 = _exposures(c.then_branch, env, unfolded, allow_unfold, above, blocked)
+        e2, c2 = _exposures(c.else_branch, env, unfolded, allow_unfold, above, blocked)
         eta_out = []
         for x1 in e1:
             for x2 in e2:
@@ -583,7 +618,7 @@ def _exposures(c, env: dict, unfolded: frozenset, allow_unfold: bool):
     assert isinstance(c, Def)
     env2 = dict(env)
     env2[c.name] = c.body
-    sub_etas, sub_conds = _exposures(c.cont, env2, unfolded, allow_unfold)
+    sub_etas, sub_conds = _exposures(c.cont, env2, unfolded, allow_unfold, above, blocked)
     eta_out = [
         EtaExposure(
             ex.etas,

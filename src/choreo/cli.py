@@ -392,6 +392,14 @@ def main(argv: "list[str] | None" = None) -> int:
     except (textio.ParseError, InputError, chor_engine.EvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser and several analyses recurse once per nesting level
+        print(
+            "error: program nested too deeply (deeper than the interpreter's "
+            f"recursion limit of {sys.getrecursionlimit()} frames allows)",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

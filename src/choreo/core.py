@@ -7,7 +7,7 @@ downstream (parser, engines, projection) relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 
@@ -290,6 +290,7 @@ class End:
     """Terminated choreography."""
 
     _instance: "End | None" = None
+    normal = True  # see Prefix
 
     def __new__(cls) -> "End":
         if cls._instance is None:
@@ -309,16 +310,56 @@ class End:
 END = End()
 
 
-@dataclass(frozen=True, slots=True)
+# Prefix, Cond and Def compute their hash once, at construction, from their
+# children's cached hashes (the tuple hash of their fields, as a dataclass
+# would compute it), so hashing a term costs O(1) however long it is.
+# `normal` records whether the node is in normal form: no empty interaction
+# set and no def whose scope has ended.  A node built from normal children
+# knows this at once, which lets `chor_engine.normalize` return such a term
+# as it is.  The constructors are written out because they run once per node
+# of every term an engine builds.
+
+_set = object.__setattr__  # the nodes are frozen
+_UNSET = object()  # process set not computed yet
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Prefix:
     """etas thru connector; cont"""
 
     etas: frozenset[Interaction]
     connector: str
     cont: "Choreography"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+    _pn: object = field(repr=False)
+
+    def __init__(self, etas: frozenset[Interaction], connector: str, cont: "Choreography") -> None:
+        _set(self, "etas", etas)
+        _set(self, "connector", connector)
+        _set(self, "cont", cont)
+        _set(self, "normal", bool(etas) and cont.normal)
+        _set(self, "_hash", hash((etas, connector, cont)))
+        _set(self, "_pn", _UNSET)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Prefix:
+            return NotImplemented
+        a, b = self, other
+        # a loop along the spine: a long chain must not exhaust the stack
+        while a.__class__ is Prefix and b.__class__ is Prefix:
+            if a is b:
+                return True
+            if a._hash != b._hash or a.connector != b.connector or a.etas != b.etas:
+                return False
+            a, b = a.cont, b.cont
+        return a == b
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Cond:
     """if process.guard then then_branch else else_branch"""
 
@@ -326,23 +367,104 @@ class Cond:
     guard: Expr
     then_branch: "Choreography"
     else_branch: "Choreography"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+    _pn: object = field(repr=False)
+
+    def __init__(
+        self, process: str, guard: Expr, then_branch: "Choreography", else_branch: "Choreography"
+    ) -> None:
+        _set(self, "process", process)
+        _set(self, "guard", guard)
+        _set(self, "then_branch", then_branch)
+        _set(self, "else_branch", else_branch)
+        _set(self, "normal", then_branch.normal and else_branch.normal)
+        _set(self, "_hash", hash((process, guard, then_branch, else_branch)))
+        _set(self, "_pn", _UNSET)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Cond:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.process == other.process
+            and self.guard == other.guard
+            and self.then_branch == other.then_branch
+            and self.else_branch == other.else_branch
+        )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Def:
     """def name = body in cont"""
 
     name: str
     body: "Choreography"
     cont: "Choreography"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+
+    def __init__(self, name: str, body: "Choreography", cont: "Choreography") -> None:
+        _set(self, "name", name)
+        _set(self, "body", body)
+        _set(self, "cont", cont)
+        _set(self, "normal", body.normal and cont.normal and cont is not END)
+        _set(self, "_hash", hash((name, body, cont)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Def:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.name == other.name
+            and self.body == other.body
+            and self.cont == other.cont
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class Call:
     name: str
+    normal = True  # a class attribute, not a field; see Prefix
 
 
 Choreography = Union[Prefix, Cond, Def, Call, End]
+
+
+def known_pn(c: Choreography) -> "frozenset[str] | None":
+    """Processes occurring in c, or None when c holds a Call or a Def:
+    unfolding a call can bring any process to the head.
+
+    Computed on first request and cached on each Prefix and Cond, walking a
+    Prefix spine in a loop down to the first node that already knows its set.
+    """
+    spine: list[Prefix] = []
+    while isinstance(c, Prefix) and c._pn is _UNSET:
+        spine.append(c)
+        c = c.cont
+    if isinstance(c, (Prefix, Cond)) and c._pn is not _UNSET:
+        procs = c._pn
+    elif isinstance(c, Cond):
+        then, other = known_pn(c.then_branch), known_pn(c.else_branch)
+        procs = None if then is None or other is None else then | other | {c.process}
+        _set(c, "_pn", procs)
+    elif isinstance(c, End):
+        procs = frozenset()
+    else:
+        procs = None  # Call, Def
+    for p in reversed(spine):
+        if procs is not None:
+            own = pn_etas(p.etas)
+            if not own <= procs:
+                procs = procs | own
+        _set(p, "_pn", procs)
+    return procs
 
 
 def pn(c: Choreography) -> frozenset[str]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from choreo import chor_engine as ce
+from choreo import harness, textio
 from choreo.core import (
     BOT,
     Call,
@@ -23,7 +24,7 @@ from choreo.core import (
     Var,
 )
 
-from conftest import load_program
+from conftest import load_program, ring_chain
 
 
 def _phi(*pairs) -> Constraint:
@@ -220,3 +221,126 @@ def test_normalize_flattens_ended_scopes() -> None:
     p = Prefix(frozenset({Sel("a", "b", "go")}), "g", END)
     assert ce.normalize(Def("X", p, END)) == END
     assert ce.normalize(Prefix(frozenset(), "g", p)) == p
+    assert ce.normalize(p) is p  # already normal: returned as it is
+
+
+def test_long_chain_runs_to_its_replayed_store() -> None:
+    text, steps, store = ring_chain(500)
+    prog = textio.parse_program(text)
+    res = ce.run(ce.initial_configuration(prog), prog.connectors, max_steps=2 * steps)
+    assert res.outcome is ce.Outcome.TERMINATED
+    assert len(res.trace) == steps
+    assert res.final.sigma_map() == store
+
+
+def _splits_per_step(monkeypatch, n: int) -> list[int]:
+    calls = [0]
+    per_step: list[int] = []
+    splits, reductions = ce._valid_splits, ce.reductions
+
+    def counted_splits(etas):
+        calls[0] += 1
+        return splits(etas)
+
+    def counted_reductions(cfg, g):
+        before = calls[0]
+        out = reductions(cfg, g)
+        per_step.append(calls[0] - before)
+        return out
+
+    text, steps, _ = ring_chain(n)
+    prog = textio.parse_program(text)
+    with monkeypatch.context() as m:
+        m.setattr(ce, "_valid_splits", counted_splits)
+        m.setattr(ce, "reductions", counted_reductions)
+        res = ce.run(ce.initial_configuration(prog), prog.connectors, max_steps=2 * steps)
+    assert res.outcome is ce.Outcome.TERMINATED
+    return per_step
+
+
+def test_step_cost_does_not_grow_with_chain_length(monkeypatch) -> None:
+    # the exposure walk stops two prefixes below the head of a ring chain
+    short, long = _splits_per_step(monkeypatch, 50), _splits_per_step(monkeypatch, 400)
+    assert max(short) == max(long) <= 3
+
+
+DOUBLE_MERGE = """
+automaton Sync { states 1; ports p1, p2; init 1; 1 -> 1 on p1 > p2; }
+automaton Barrier3 {
+  states 1;
+  ports p1, p2, p3, p4, p5, p6;
+  init 1;
+  1 -> 1 on p1 > p2;
+  1 -> 1 on p3 > p4;
+  1 -> 1 on p5 > p6;
+  1 -> 1 on p1 > p2 & p3 > p4;
+  1 -> 1 on p1 > p2 & p5 > p6;
+  1 -> 1 on p3 > p4 & p5 > p6;
+  1 -> 1 on p1 > p2 & p3 > p4 & p5 > p6;
+}
+connectors {
+  h: Sync[a/p1, x/p2];
+  g: Barrier3[c/p1, d/p2, e/p3, f/p4, a/p5, x/p6];
+}
+init { a.v = 1; c.v = 2; e.v = 3; }
+main {
+  a.v -> x.w thru h;
+  c.v -> d.w thru g;
+  e.v -> f.w thru g;
+  a.v -> x.u thru g;
+  0
+}
+"""
+
+
+def test_double_merge_reaches_the_head() -> None:
+    # a.v -> x.u merges with e->f, and the union merges with c->d.  A subset
+    # without a.v -> x.u fires, and a.v -> x.u stays behind, joined to what
+    # is left, although the head blocks a and x.  Pruning by all enclosing
+    # prefixes would lose these two reductions.
+    prog = textio.parse_program(DOUBLE_MERGE)
+    rs = ce.reductions(ce.initial_configuration(prog), prog.connectors)
+    assert len(rs) == 6
+    head = frozenset({ValCom("a", Var("v"), "x", "w")})
+    late = ValCom("a", Var("v"), "x", "u")
+    joined = set()
+    for r in rs:
+        c = r.config.chor
+        if c.etas == head and c.cont.etas != frozenset({late}) and late in c.cont.etas:
+            assert c.cont.cont == END
+            joined.add(frozenset(c.cont.etas - {late}))
+    assert joined == {
+        frozenset({ValCom("c", Var("v"), "d", "w")}),
+        frozenset({ValCom("e", Var("v"), "f", "w")}),
+    }
+
+
+def _programs():
+    for name in harness.list_fixtures(".cr"):
+        yield harness.load_program(name)
+    for seed in range(300):
+        yield harness.gen_random_program(random.Random(seed))
+    yield textio.parse_program(DOUBLE_MERGE)
+
+
+def test_exposure_pruning_is_exact(monkeypatch) -> None:
+    # the same reductions, in the same order, as a walk that never prunes:
+    # with every process set unknown, no subterm is skipped
+    def unpruned(cfg, g):
+        with monkeypatch.context() as m:
+            m.setattr(ce, "known_pn", lambda c: None)
+            return ce.reductions(cfg, g)
+
+    for prog in _programs():
+        start = ce.initial_configuration(prog)
+        seen, frontier = {start}, [start]
+        while frontier and len(seen) < 60:
+            nxt = []
+            for cfg in frontier:
+                rs = ce.reductions(cfg, prog.connectors)
+                assert rs == unpruned(cfg, prog.connectors)
+                for r in rs:
+                    if r.config not in seen:
+                        seen.add(r.config)
+                        nxt.append(r.config)
+            frontier = nxt

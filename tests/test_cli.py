@@ -7,7 +7,7 @@ import pytest
 
 from choreo import cli
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, ring_chain
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -142,3 +142,13 @@ def test_trace_lines_have_the_documented_shape(capsys) -> None:
     assert first[1] == "com"
     assert first[2] == "a2c"
     assert "->" in lines[0]
+
+
+def test_run_too_deeply_nested_is_an_input_error(tmp_path: Path, capsys) -> None:
+    # the parser recurses once per prefix
+    deep = tmp_path / "deep.cr"
+    deep.write_text(ring_chain(1200)[0])
+    code, out, err = _run(capsys, "run", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
