@@ -469,12 +469,16 @@ def known_pn(c: Choreography) -> "frozenset[str] | None":
 
 def pn(c: Choreography) -> frozenset[str]:
     """Process names occurring anywhere in c, conditional guards included."""
+    spine: set[str] = set()
+    while isinstance(c, Prefix):  # a loop: a long chain must not exhaust the stack
+        spine |= pn_etas(c.etas)
+        c = c.cont
+    if spine:
+        return frozenset(spine) | pn(c)
     if isinstance(c, End):
         return frozenset()
     if isinstance(c, Call):
         return frozenset()
-    if isinstance(c, Prefix):
-        return pn_etas(c.etas) | pn(c.cont)
     if isinstance(c, Cond):
         return frozenset({c.process}) | pn(c.then_branch) | pn(c.else_branch)
     return pn(c.body) | pn(c.cont)
@@ -559,6 +563,9 @@ class Constraint:
     """A set of flows fired together in one synchronous step."""
 
     flows: frozenset[Flow]
+    # cp_engine's classification of the flows by owning process, worked out
+    # on first use; not part of the value
+    port_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def of(*flows: Flow) -> "Constraint":

@@ -10,7 +10,9 @@ once.  Cell reads see the pre-state, mirroring the choreography matcher.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .core import (
@@ -23,7 +25,6 @@ from .core import (
     Mem,
     Port,
     Value,
-    constraint_key,
     expr_key,
 )
 from .chor_engine import (
@@ -118,39 +119,45 @@ class CpProgram:
 
 
 def normalize_behaviour(b: Behaviour) -> Behaviour:
-    if isinstance(b, Send):
-        return Send(b.port, b.expr, normalize_behaviour(b.cont))
-    if isinstance(b, Recv):
-        return Recv(b.port, b.var, normalize_behaviour(b.cont))
-    if isinstance(b, SelSend):
-        return SelSend(b.port, b.label, normalize_behaviour(b.cont))
+    """Collapse definitions whose scope has ended.
+
+    A behaviour whose `normal` flag is set comes back as it is.  Otherwise
+    only the part above its first normal node is rebuilt, in a loop along the
+    action spine."""
+    if b.normal:
+        return b
+    spine = []
+    while isinstance(b, (Send, Recv, SelSend)):
+        spine.append(b)
+        b = b.cont
     if isinstance(b, Branch):
-        return Branch(
-            b.port, tuple((l, normalize_behaviour(c)) for l, c in b.cases)
-        )
-    if isinstance(b, BCond):
-        return BCond(
+        b = Branch(b.port, tuple((l, normalize_behaviour(c)) for l, c in b.cases))
+    elif isinstance(b, BCond):
+        b = BCond(
             b.guard,
             normalize_behaviour(b.then_branch),
             normalize_behaviour(b.else_branch),
         )
-    if isinstance(b, BDef):
+    elif isinstance(b, BDef):
         cont = normalize_behaviour(b.cont)
-        if isinstance(cont, BEnd):
-            return BEND
-        return BDef(b.name, normalize_behaviour(b.body), cont)
+        b = BEND if cont is BEND else BDef(b.name, normalize_behaviour(b.body), cont)
+    for a in reversed(spine):
+        b = a.with_cont(b)
     return b
 
 
 def normalize_network(net: Network) -> Network:
-    """Drop finished processes and collapse definitions over finished bodies."""
-    out = {}
+    """Drop finished processes and collapse definitions over finished bodies.
+    A network whose behaviours are all normal and unfinished comes back as it
+    is."""
+    if all(b.normal and b is not BEND for _, _, b in net.procs):
+        return net
+    out = []
     for q, store, b in net.procs:
         nb = normalize_behaviour(b)
-        if isinstance(nb, BEnd):
-            continue
-        out[q] = (dict(store), nb)
-    return Network.make(out)
+        if nb is not BEND:
+            out.append((q, store, nb))
+    return Network(tuple(out))
 
 
 @dataclass
@@ -165,6 +172,10 @@ class Focus:
 
 def head_focus(b: Behaviour) -> "Focus | None":
     return _focus(b, {}, frozenset())
+
+
+def _identity(b: Behaviour) -> Behaviour:
+    return b
 
 
 def _focus(b: Behaviour, env: dict, unfolded: frozenset) -> "Focus | None":
@@ -182,106 +193,133 @@ def _focus(b: Behaviour, env: dict, unfolded: frozenset) -> "Focus | None":
         if b.name in env and b.name not in unfolded:
             return _focus(env[b.name], env, unfolded | {b.name})
         return None
-    return Focus(b, lambda x: x)
+    return Focus(b, _identity)
 
 
 # ---------------------------------------------------------------------------
 # Transition matching
 
 
-def _owner_ports(flows: list[Flow]):
-    """Classify flow endpoints; returns None on malformed port names."""
+@dataclass(frozen=True, slots=True)
+class _PortPlan:
+    """A constraint's flows by owning process, in flow order."""
+
+    senders: tuple  # (process, output port, cells it writes)
+    receivers: tuple  # (process, input port, sending process or None, cell read or None)
+    moves: tuple  # (source cell, target cell)
+
+
+def _owner_ports(phi: Constraint) -> "_PortPlan | str":
+    """Classify phi's flow endpoints by owning process.  Gives _FAIL_PORTS
+    when no network can fire phi: a port of the wrong direction, two flows
+    into one process, a process on both sides, a process sending through two
+    ports, or cell moves that no order can serve."""
     out_flows: dict[str, list[Flow]] = {}
     in_flow: dict[str, Flow] = {}
     mm: list[Flow] = []
-    for f in flows:
+    for f in phi.sorted_flows():
         src_pn = PortName.parse(f.src.name) if isinstance(f.src, Port) else None
         dst_pn = PortName.parse(f.dst.name) if isinstance(f.dst, Port) else None
-        if isinstance(f.src, Port) and (src_pn is None or src_pn.direction != "o"):
-            return None
-        if isinstance(f.dst, Port) and (dst_pn is None or dst_pn.direction != "i"):
-            return None
-        if isinstance(f.src, Port):
+        if src_pn is not None and src_pn.direction != "o":
+            return _FAIL_PORTS
+        if dst_pn is not None and dst_pn.direction != "i":
+            return _FAIL_PORTS
+        if src_pn is not None:
             out_flows.setdefault(src_pn.process, []).append(f)
-        if isinstance(f.dst, Port):
+        if dst_pn is not None:
             if dst_pn.process in in_flow:
-                return None
+                return _FAIL_PORTS
             in_flow[dst_pn.process] = f
         if isinstance(f.src, Mem) and isinstance(f.dst, Mem):
             mm.append(f)
-    return out_flows, in_flow, mm
+    if set(out_flows) & set(in_flow) or _mem_cycle(mm):
+        return _FAIL_PORTS
+    senders = []
+    for p, flows in out_flows.items():
+        port = flows[0].src.name
+        if any(f.src.name != port for f in flows):
+            return _FAIL_PORTS
+        cells = tuple(f.dst.name for f in flows if isinstance(f.dst, Mem))
+        senders.append((p, PortName.parse(port), cells))
+    receivers = []
+    for q, f in in_flow.items():
+        sender = PortName.parse(f.src.name).process if isinstance(f.src, Port) else None
+        cell = f.src.name if isinstance(f.src, Mem) else None
+        receivers.append((q, PortName.parse(f.dst.name), sender, cell))
+    moves = tuple((f.src.name, f.dst.name) for f in mm)
+    return _PortPlan(tuple(senders), tuple(receivers), moves)
+
+
+def _port_plan(phi: Constraint) -> "_PortPlan | str":
+    """phi's classification, worked out once and kept on phi."""
+    plan = phi.port_plan
+    if plan is None:
+        plan = _owner_ports(phi)
+        object.__setattr__(phi, "port_plan", plan)
+    return plan
+
+
+def _owner_focus(procs: tuple, q: str) -> "tuple[int, Focus] | None":
+    """Where process q sits in a network's process tuple, and its head."""
+    i = bisect_left(procs, q, key=itemgetter(0))
+    if i == len(procs) or procs[i][0] != q:
+        return None
+    focus = head_focus(procs[i][2])
+    return None if focus is None else (i, focus)
 
 
 def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
     """Fire phi against the network.  Returns (net', mu writes) or a failure
-    stage string ('ports' for shape, 'value' for a datum premise)."""
-    procs = net.proc_map()
-    classified = _owner_ports(phi.sorted_flows())
-    if classified is None:
+    stage string ('ports' for shape, 'value' for a datum premise).  Only the
+    processes that own a port of phi are read, and the new network is built
+    only when phi fires."""
+    plan = _port_plan(phi)
+    if plan is _FAIL_PORTS:
         return _FAIL_PORTS
-    out_flows, in_flow, mm = classified
-    if set(out_flows) & set(in_flow):
-        return _FAIL_PORTS
-    if _mem_cycle(mm):
-        return _FAIL_PORTS
-
-    foci: dict[str, Focus] = {}
-    for q in list(out_flows) + list(in_flow):
-        if q not in procs:
-            return _FAIL_PORTS
-        focus = head_focus(procs[q][1])
-        if focus is None:
-            return _FAIL_PORTS
-        foci[q] = focus
+    procs = net.procs
+    heads: dict[str, tuple[int, Focus]] = {}
 
     # shape: senders first
-    out_value: dict[str, Value] = {}
     out_label: dict[str, "str | None"] = {}
-    for p, flows in out_flows.items():
-        action = foci[p].action
-        port = PortName.parse(flows[0].src.name)
-        if any(f.src.name != flows[0].src.name for f in flows):
+    for p, port, _cells in plan.senders:
+        head = heads[p] = _owner_focus(procs, p)
+        if head is None:
             return _FAIL_PORTS
+        action = head[1].action
         if isinstance(action, Send) and action.port == port:
             out_label[p] = None
         elif isinstance(action, SelSend) and action.port == port:
             out_label[p] = action.label
         else:
             return _FAIL_PORTS
-    for q, f in in_flow.items():
-        action = foci[q].action
-        port = PortName.parse(f.dst.name)
-        if isinstance(f.src, Port):
-            sender = PortName.parse(f.src.name).process
-            lbl = out_label[sender]
-            if lbl is None:
-                if not (isinstance(action, Recv) and action.port == port):
-                    return _FAIL_PORTS
-            else:
-                if not (
-                    isinstance(action, Branch)
-                    and action.port == port
-                    and lbl in action.case_map()
-                ):
-                    return _FAIL_PORTS
+    for q, port, sender, _cell in plan.receivers:
+        head = heads[q] = _owner_focus(procs, q)
+        if head is None:
+            return _FAIL_PORTS
+        action = head[1].action
+        if sender is None:  # from a cell
+            ok = isinstance(action, (Recv, Branch)) and action.port == port
+        elif out_label[sender] is None:
+            ok = isinstance(action, Recv) and action.port == port
         else:
-            if isinstance(action, Recv) and action.port == port:
-                pass
-            elif isinstance(action, Branch) and action.port == port:
-                pass
-            else:
-                return _FAIL_PORTS
+            ok = (
+                isinstance(action, Branch)
+                and action.port == port
+                and out_label[sender] in action.case_map()
+            )
+        if not ok:
+            return _FAIL_PORTS
 
     # data premises, all against the pre-state
-    for f in mm:
-        if mu[f.src.name] is BOT:
+    for src, _dst in plan.moves:
+        if mu[src] is BOT:
             return _FAIL_VALUE
-    for q, f in in_flow.items():
-        if isinstance(f.src, Mem):
-            stored = mu[f.src.name]
+    for q, _port, _sender, cell in plan.receivers:
+        if cell is not None:
+            stored = mu[cell]
             if stored is BOT:
                 return _FAIL_VALUE
-            action = foci[q].action
+            action = heads[q][1].action
             if isinstance(action, Branch):
                 if not (
                     isinstance(stored, Label) and stored.name in action.case_map()
@@ -289,41 +327,34 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
                     return _FAIL_VALUE
 
     # effects
-    for p in out_flows:
-        action = foci[p].action
+    out_value: dict[str, Value] = {}
+    for p, _port, _cells in plan.senders:
+        i, focus = heads[p]
+        action = focus.action
         if isinstance(action, Send):
-            out_value[p] = _store_eval(action.expr, procs[p][0])
+            out_value[p] = _store_eval(action.expr, dict(procs[i][1]))
         else:
             out_value[p] = Label(action.label)
-    mu_writes: dict[str, Value] = {}
-    for f in mm:
-        mu_writes[f.dst.name] = mu[f.src.name]
-    updates: dict[str, tuple[dict[str, Value], Behaviour]] = {}
-    for p, flows in out_flows.items():
-        for f in flows:
-            if isinstance(f.dst, Mem):
-                mu_writes[f.dst.name] = out_value[p]
-        action = foci[p].action
-        cont = action.cont  # type: ignore[union-attr]
-        updates[p] = (procs[p][0], foci[p].rebuild(cont))
-    for q, f in in_flow.items():
-        delivered = (
-            out_value[PortName.parse(f.src.name).process]
-            if isinstance(f.src, Port)
-            else mu[f.src.name]
-        )
-        action = foci[q].action
-        store = dict(procs[q][0])
+    mu_writes: dict[str, Value] = {dst: mu[src] for src, dst in plan.moves}
+    new = list(procs)
+    for p, _port, cells in plan.senders:
+        for m in cells:
+            mu_writes[m] = out_value[p]
+        i, focus = heads[p]
+        new[i] = (p, procs[i][1], focus.rebuild(focus.action.cont))  # type: ignore[union-attr]
+    for q, _port, sender, cell in plan.receivers:
+        delivered = out_value[sender] if sender is not None else mu[cell]
+        i, focus = heads[q]
+        action = focus.action
         if isinstance(action, Recv):
+            store = dict(procs[i][1])
             store[action.var] = delivered
-            updates[q] = (store, foci[q].rebuild(action.cont))
+            new[i] = (q, _freeze_store(store), focus.rebuild(action.cont))
         else:
             assert isinstance(action, Branch) and isinstance(delivered, Label)
-            updates[q] = (store, foci[q].rebuild(action.case_map()[delivered.name]))
-
-    new = procs
-    new.update(updates)
-    return (Network.make(new), mu_writes)
+            chosen = action.case_map()[delivered.name]
+            new[i] = (q, procs[i][1], focus.rebuild(chosen))
+    return (Network(tuple(new)), mu_writes)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +375,16 @@ class CpReduction:
 def cp_reductions(
     cfg: NetConfiguration, automata: ConnectorMapping
 ) -> list[CpReduction]:
-    astate = cfg.astate_map()
+    """Every reduction of cfg: communications connector by connector, then
+    conditionals process by process, each in name order.  A successor shares
+    everything the step leaves alone with cfg."""
+    astate, procs = cfg.astate, cfg.net.procs
     out: list[CpReduction] = []
     seen: set = set()
-    for g in sorted(astate):
+    for k, (g, (state, cells)) in enumerate(astate):
         if g not in automata:
             raise InputError(f"no automaton for connector {g}")
-        state, mu = astate[g]
+        mu = dict(cells)
         for t in automata[g].outgoing(state):
             m = cp_match_transition(cfg.net, t.phi, mu)
             if isinstance(m, str):
@@ -358,27 +392,23 @@ def cp_reductions(
             net2, mu_writes = m
             mu2 = dict(mu)
             mu2.update(mu_writes)
-            astate2 = dict(astate)
-            astate2[g] = (t.dst, mu2)
-            succ = NetConfiguration.make(normalize_network(net2), astate2)
-            key = ("com", g, constraint_key(t.phi), succ)
+            astate2 = astate[:k] + ((g, (t.dst, _freeze_store(mu2))),) + astate[k + 1 :]
+            succ = NetConfiguration(normalize_network(net2), astate2)
+            key = ("com", g, t.phi, succ)
             if key in seen:
                 continue
             seen.add(key)
             out.append(CpReduction("com", g, t.phi, None, state, t.dst, succ))
-    procs = cfg.net.proc_map()
-    for q in sorted(procs):
-        store, b = procs[q]
+    for i, (q, store, b) in enumerate(procs):
         focus = head_focus(b)
         if focus is None or not isinstance(focus.action, BCond):
             continue
-        v = _store_eval(focus.action.guard, store)
+        v = _store_eval(focus.action.guard, dict(store))
         if not isinstance(v, bool):
             raise EvalError(f"guard at {q} is not a boolean: {v!r}")
         chosen = focus.action.then_branch if v else focus.action.else_branch
-        new = dict(procs)
-        new[q] = (store, focus.rebuild(chosen))
-        succ = NetConfiguration.make(normalize_network(Network.make(new)), astate)
+        new = procs[:i] + ((q, store, focus.rebuild(chosen)),) + procs[i + 1 :]
+        succ = NetConfiguration(normalize_network(Network(new)), astate)
         key = ("cond", q, expr_key(focus.action.guard), v, succ)
         if key in seen:
             continue

@@ -3,7 +3,7 @@ translation of a choreography plus connectors into a process network."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .core import (
@@ -71,10 +71,23 @@ class PortName:
 
 # ---------------------------------------------------------------------------
 # Behaviours
+#
+# Send, Recv, SelSend, Branch, BCond and BDef compute their hash once, at
+# construction, from their children's cached hashes (the tuple hash of their
+# fields, as a dataclass would compute it), so hashing a behaviour costs O(1)
+# however long it is.  `normal` records whether the node is in normal form:
+# no def whose scope has ended.  A node built from normal children knows this
+# at once, which lets `cp_engine.normalize_behaviour` return such a behaviour
+# as it is.  The constructors are written out, as for `core.Prefix`, because
+# they run once per node of every behaviour that projection and the network
+# engine build.
+
+_set = object.__setattr__  # the nodes are frozen
 
 
 class BEnd:
     _instance: "BEnd | None" = None
+    normal = True
 
     def __new__(cls) -> "BEnd":
         if cls._instance is None:
@@ -94,31 +107,137 @@ class BEnd:
 BEND = BEnd()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Send:
     port: PortName
     expr: Expr
     cont: "Behaviour"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+
+    def __init__(self, port: PortName, expr: Expr, cont: "Behaviour") -> None:
+        _set(self, "port", port)
+        _set(self, "expr", expr)
+        _set(self, "cont", cont)
+        _set(self, "normal", cont.normal)
+        _set(self, "_hash", hash((port, expr, cont)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Send:
+            return NotImplemented
+        return _actions_eq(self, other)
+
+    def with_cont(self, cont: "Behaviour") -> "Send":
+        return Send(self.port, self.expr, cont)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Recv:
     port: PortName
     var: str
     cont: "Behaviour"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+
+    def __init__(self, port: PortName, var: str, cont: "Behaviour") -> None:
+        _set(self, "port", port)
+        _set(self, "var", var)
+        _set(self, "cont", cont)
+        _set(self, "normal", cont.normal)
+        _set(self, "_hash", hash((port, var, cont)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Recv:
+            return NotImplemented
+        return _actions_eq(self, other)
+
+    def with_cont(self, cont: "Behaviour") -> "Recv":
+        return Recv(self.port, self.var, cont)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class SelSend:
     port: PortName
     label: str
     cont: "Behaviour"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+
+    def __init__(self, port: PortName, label: str, cont: "Behaviour") -> None:
+        _set(self, "port", port)
+        _set(self, "label", label)
+        _set(self, "cont", cont)
+        _set(self, "normal", cont.normal)
+        _set(self, "_hash", hash((port, label, cont)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SelSend:
+            return NotImplemented
+        return _actions_eq(self, other)
+
+    def with_cont(self, cont: "Behaviour") -> "SelSend":
+        return SelSend(self.port, self.label, cont)
 
 
-@dataclass(frozen=True, slots=True)
+_ACTIONS = (Send, Recv, SelSend)  # the nodes with one continuation
+
+
+def _same_head(a, b) -> bool:
+    """a and b, of one action class, agree on everything but their
+    continuations."""
+    if a.port != b.port:
+        return False
+    if a.__class__ is Send:
+        return a.expr == b.expr
+    if a.__class__ is Recv:
+        return a.var == b.var
+    return a.label == b.label
+
+
+def _actions_eq(a, b) -> bool:
+    # a loop along the action spine: a long behaviour must not exhaust the stack
+    while a.__class__ is b.__class__ and a.__class__ in _ACTIONS:
+        if a is b:
+            return True
+        if a._hash != b._hash or not _same_head(a, b):
+            return False
+        a, b = a.cont, b.cont
+    return a == b
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Branch:
     port: PortName
     cases: tuple[tuple[str, "Behaviour"], ...]
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+
+    def __init__(self, port: PortName, cases: tuple[tuple[str, "Behaviour"], ...]) -> None:
+        _set(self, "port", port)
+        _set(self, "cases", cases)
+        _set(self, "normal", all(b.normal for _, b in cases))
+        _set(self, "_hash", hash((port, cases)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Branch:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.port == other.port
+            and self.cases == other.cases
+        )
 
     @staticmethod
     def make(port: PortName, cases: Mapping[str, "Behaviour"]) -> "Branch":
@@ -128,23 +247,68 @@ class Branch:
         return dict(self.cases)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class BCond:
     guard: Expr
     then_branch: "Behaviour"
     else_branch: "Behaviour"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+
+    def __init__(self, guard: Expr, then_branch: "Behaviour", else_branch: "Behaviour") -> None:
+        _set(self, "guard", guard)
+        _set(self, "then_branch", then_branch)
+        _set(self, "else_branch", else_branch)
+        _set(self, "normal", then_branch.normal and else_branch.normal)
+        _set(self, "_hash", hash((guard, then_branch, else_branch)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BCond:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.guard == other.guard
+            and self.then_branch == other.then_branch
+            and self.else_branch == other.else_branch
+        )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class BDef:
     name: str
     body: "Behaviour"
     cont: "Behaviour"
+    normal: bool = field(repr=False)
+    _hash: int = field(repr=False)
+
+    def __init__(self, name: str, body: "Behaviour", cont: "Behaviour") -> None:
+        _set(self, "name", name)
+        _set(self, "body", body)
+        _set(self, "cont", cont)
+        _set(self, "normal", body.normal and cont.normal and cont is not BEND)
+        _set(self, "_hash", hash((name, body, cont)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BDef:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.name == other.name
+            and self.body == other.body
+            and self.cont == other.cont
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class BCall:
     name: str
+    normal = True  # a class attribute, not a field
 
 
 Behaviour = Union[BEnd, Send, Recv, SelSend, Branch, BCond, BDef, BCall]
@@ -154,23 +318,31 @@ Behaviour = Union[BEnd, Send, Recv, SelSend, Branch, BCond, BDef, BCall]
 # Merge
 
 
+_ACTION_STEP = {Send: "send", Recv: "recv", SelSend: "sel"}
+
+
 def merge(b1: Behaviour, b2: Behaviour, _path: tuple[str, ...] = ()) -> Behaviour:
     """The partial branch merge: both sides must agree everywhere except in
     Branch label maps, which are unioned (recursively on shared labels)."""
+    # shared actions, in a loop: a long behaviour must not exhaust the stack
+    spine = []
+    while b1.__class__ is b2.__class__ and b1.__class__ in _ACTIONS and _same_head(b1, b2):
+        spine.append(b1)
+        b1, b2 = b1.cont, b2.cont
+    if spine:
+        _path += tuple(_ACTION_STEP[a.__class__] for a in spine)
+    merged = _merge_node(b1, b2, _path)
+    for a in reversed(spine):
+        merged = a.with_cont(merged)
+    return merged
+
+
+def _merge_node(b1: Behaviour, b2: Behaviour, _path: tuple[str, ...]) -> Behaviour:
     if isinstance(b1, BEnd) and isinstance(b2, BEnd):
         return BEND
     if isinstance(b1, BCall) and isinstance(b2, BCall) and b1.name == b2.name:
         return b1
-    if isinstance(b1, Send) and isinstance(b2, Send):
-        if b1.port == b2.port and b1.expr == b2.expr:
-            return Send(b1.port, b1.expr, merge(b1.cont, b2.cont, _path + ("send",)))
-    elif isinstance(b1, Recv) and isinstance(b2, Recv):
-        if b1.port == b2.port and b1.var == b2.var:
-            return Recv(b1.port, b1.var, merge(b1.cont, b2.cont, _path + ("recv",)))
-    elif isinstance(b1, SelSend) and isinstance(b2, SelSend):
-        if b1.port == b2.port and b1.label == b2.label:
-            return SelSend(b1.port, b1.label, merge(b1.cont, b2.cont, _path + ("sel",)))
-    elif isinstance(b1, Branch) and isinstance(b2, Branch):
+    if isinstance(b1, Branch) and isinstance(b2, Branch):
         if b1.port == b2.port:
             m1, m2 = b1.case_map(), b2.case_map()
             merged: dict[str, Behaviour] = {}
@@ -224,38 +396,50 @@ def project_behaviour(c, r: str) -> Behaviour:
 
     In an interaction set, r contributes at most one action: its single send
     (multicasts collapse to one output), or its single receive.  Conditionals
-    at other processes are covered by merging both branch projections.
+    at other processes are covered by merging both branch projections.  A
+    prefix spine is projected in a loop, bottom-up.
     """
+    spine = []
+    while isinstance(c, core.Prefix):
+        spine.append(c)
+        c = c.cont
     if isinstance(c, core.End):
-        return BEND
-    if isinstance(c, core.Call):
-        return BCall(c.name)
-    if isinstance(c, core.Def):
-        return BDef(c.name, project_behaviour(c.body, r), project_behaviour(c.cont, r))
-    if isinstance(c, core.Cond):
-        if c.process == r:
-            return BCond(c.guard, project_behaviour(c.then_branch, r), project_behaviour(c.else_branch, r))
+        b: Behaviour = BEND
+    elif isinstance(c, core.Call):
+        b = BCall(c.name)
+    elif isinstance(c, core.Def):
+        b = BDef(c.name, project_behaviour(c.body, r), project_behaviour(c.cont, r))
+    elif c.process == r:
+        b = BCond(c.guard, project_behaviour(c.then_branch, r), project_behaviour(c.else_branch, r))
+    else:
         try:
-            return merge(project_behaviour(c.then_branch, r), project_behaviour(c.else_branch, r))
+            b = merge(project_behaviour(c.then_branch, r), project_behaviour(c.else_branch, r))
         except MergeError as exc:
             raise Unprojectable(r, exc) from exc
-    assert isinstance(c, core.Prefix)
-    cont = lambda: project_behaviour(c.cont, r)  # noqa: E731
-    for eta in sorted_etas(c.etas):
+    for p in reversed(spine):
+        b = _project_prefix(p, r, b)
+    return b
+
+
+def _project_prefix(c, r: str, cont: Behaviour) -> Behaviour:
+    etas = c.etas
+    if len(etas) > 1:  # a single interaction needs no ordering
+        etas = sorted_etas(etas)
+    for eta in etas:
         if isinstance(eta, ValCom) and eta.sender == r:
-            return Send(PortName("o", r, c.connector), eta.expr, cont())
+            return Send(PortName("o", r, c.connector), eta.expr, cont)
         if isinstance(eta, Sel) and eta.sender == r:
-            return SelSend(PortName("o", r, c.connector), eta.label, cont())
-    for eta in sorted_etas(c.etas):
+            return SelSend(PortName("o", r, c.connector), eta.label, cont)
+    for eta in etas:
         if isinstance(eta, ValCom) and eta.receiver == r:
-            return Recv(PortName("i", r, c.connector), eta.var, cont())
+            return Recv(PortName("i", r, c.connector), eta.var, cont)
         if isinstance(eta, RecvVal) and eta.receiver == r:
-            return Recv(PortName("i", r, c.connector), eta.var, cont())
+            return Recv(PortName("i", r, c.connector), eta.var, cont)
         if isinstance(eta, Sel) and eta.receiver == r:
-            return Branch.make(PortName("i", r, c.connector), {eta.label: cont()})
+            return Branch.make(PortName("i", r, c.connector), {eta.label: cont})
         if isinstance(eta, RecvSel) and eta.receiver == r:
-            return Branch.make(PortName("i", r, c.connector), {eta.label: cont()})
-    return cont()
+            return Branch.make(PortName("i", r, c.connector), {eta.label: cont})
+    return cont
 
 
 def projectable(c) -> bool:

@@ -49,13 +49,15 @@ automaton Buffer1 {
 """
 
 
-def ring_chain(n: int, seed: int = 0) -> tuple[str, int, dict]:
+def ring_chain(n: int, seed: int = 0) -> tuple[str, int, dict, dict]:
     """A straight-line choreography of n interactions around the ring of
     processes a -> b -> c -> a, each through the edge's Sync or Buffer1
     connector, chosen by a seeded coin.
 
     Returns the program text, the number of steps a run takes (one per Sync
-    interaction, two per Buffer1 one) and the final store, replayed here."""
+    interaction, two per Buffer1 one), the final store, replayed here, and
+    each process's exit store: the replay up to its last interaction, which
+    is the last store a network run shows for it."""
     rng = random.Random(seed)
     procs = ("a", "b", "c")
     variables = ("x", "y", "z")
@@ -66,16 +68,17 @@ def ring_chain(n: int, seed: int = 0) -> tuple[str, int, dict]:
         f"  b{i}: Buffer1[{procs[i]}/p1, {procs[(i + 1) % 3]}/p2];\n"
         for i in range(3)
     )
-    lines, steps = [], 0
+    lines, steps, exits = [], 0, {}
     for i in range(n):
         snd, rcv = procs[i % 3], procs[(i + 1) % 3]
         kind = rng.choice("sb")
         sv, rv, k = rng.choice(variables), rng.choice(variables), rng.randrange(10)
         lines.append(f"  {snd}.{sv} + {k} -> {rcv}.{rv} thru {kind}{i % 3};\n")
+        exits.update({(p, v): store[(p, v)] for p in (snd, rcv) for v in variables})
         store[(rcv, rv)] = store[(snd, sv)] + k
         steps += 1 if kind == "s" else 2
     text = (
         f"{RING_AUTOMATA}\nconnectors {{\n{bindings}}}\n\ninit {{\n{init}}}\n\n"
         f"main {{\n{''.join(lines)}  0\n}}\n"
     )
-    return text, steps, store
+    return text, steps, store, exits

@@ -225,7 +225,7 @@ def test_normalize_flattens_ended_scopes() -> None:
 
 
 def test_long_chain_runs_to_its_replayed_store() -> None:
-    text, steps, store = ring_chain(500)
+    text, steps, store, _ = ring_chain(500)
     prog = textio.parse_program(text)
     res = ce.run(ce.initial_configuration(prog), prog.connectors, max_steps=2 * steps)
     assert res.outcome is ce.Outcome.TERMINATED
@@ -248,7 +248,7 @@ def _splits_per_step(monkeypatch, n: int) -> list[int]:
         per_step.append(calls[0] - before)
         return out
 
-    text, steps, _ = ring_chain(n)
+    text, steps, _, _ = ring_chain(n)
     prog = textio.parse_program(text)
     with monkeypatch.context() as m:
         m.setattr(ce, "_valid_splits", counted_splits)

@@ -3,13 +3,13 @@ from __future__ import annotations
 import random
 
 from choreo import cp_engine as cpe
-from choreo import epp, textio
+from choreo import epp, harness, textio
 from choreo import chor_engine as ce
 from choreo.cli import _project
 from choreo.core import BOT, Constraint, Flow, Label, Mem, Port, Var
 from choreo.epp import BCall, BDef, BEnd, Branch, PortName, Recv, SelSend, Send
 
-from conftest import fixture_text, load_program
+from conftest import fixture_text, load_program, ring_chain
 
 
 def _net(**procs) -> cpe.Network:
@@ -154,3 +154,136 @@ def test_pruning_leq_on_networks() -> None:
 
 def test_terminated_network_is_empty_after_normalization() -> None:
     assert cpe.cp_terminated(cpe.NetConfiguration.make(_net(a=({}, BEnd())), {}))
+
+
+def test_long_chain_simulates_to_its_replayed_store() -> None:
+    text, steps, _, exits = ring_chain(600)
+    cp = _project(textio.parse_program(text))
+    res = cpe.cp_run(cp.init, cp.automata, max_steps=2 * steps)
+    assert res.outcome is cpe.Outcome.TERMINATED
+    assert len(res.trace) == steps
+    # a process leaves the network when it finishes, so take each process's
+    # store from the last configuration that still holds it
+    last = {q: store for q, store, _ in cp.init.net.procs}
+    for r in res.trace:
+        last.update((q, store) for q, store, _ in r.config.net.procs)
+    assert {(q, x): v for q, store in last.items() for x, v in store} == exits
+
+
+_NODES = (Send, Recv, SelSend, Branch, epp.BCond, BDef)
+
+
+def _nodes_per_step(monkeypatch, n: int) -> list[int]:
+    built = [0]
+    per_step: list[int] = []
+    reductions = cpe.cp_reductions
+
+    def counted_reductions(cfg, automata):
+        before = built[0]
+        out = reductions(cfg, automata)
+        per_step.append(built[0] - before)
+        return out
+
+    text, steps, _, _ = ring_chain(n)
+    prog = textio.parse_program(text)
+    with monkeypatch.context() as m:
+        for cls in _NODES:
+            def counted_init(self, *args, _init=cls.__init__):
+                built[0] += 1
+                _init(self, *args)
+
+            m.setattr(cls, "__init__", counted_init)
+        m.setattr(cpe, "cp_reductions", counted_reductions)
+        cp = _project(prog)
+        assert built[0] >= n  # the projection is counted, so the count works
+        res = cpe.cp_run(cp.init, cp.automata, max_steps=2 * steps)
+    assert res.outcome is cpe.Outcome.TERMINATED
+    return per_step
+
+
+def test_network_step_cost_does_not_grow_with_chain_length(monkeypatch) -> None:
+    # a step rebuilds no behaviour above the actions it consumes, and
+    # normalisation returns the normal rest as it is
+    short, long = _nodes_per_step(monkeypatch, 50), _nodes_per_step(monkeypatch, 400)
+    assert max(short) == max(long) <= 2
+
+
+def _networks():
+    for name in harness.list_fixtures(".cr"):
+        try:
+            yield _project(harness.load_program(name))
+        except epp.Unprojectable:
+            pass
+    for name in harness.list_fixtures(".cp"):
+        yield textio.parse_cp(fixture_text(name))
+    for seed in range(100):
+        yield _project(harness.gen_random_program(random.Random(seed)))
+
+
+def test_cached_port_classification_is_exact(monkeypatch) -> None:
+    # the same reductions, in the same order, and the same stuck reports as
+    # when every constraint is classified afresh at every attempt
+    def uncached(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(cpe, "_port_plan", cpe._owner_ports)
+            return fn(*args)
+
+    stuck = 0
+    for cp in _networks():
+        start = cp.init
+        seen, frontier = {start}, [start]
+        while frontier and len(seen) < 60:
+            nxt = []
+            for cfg in frontier:
+                rs = cpe.cp_reductions(cfg, cp.automata)
+                assert rs == uncached(cpe.cp_reductions, cfg, cp.automata)
+                if not rs and not cpe.cp_terminated(cfg):
+                    stuck += 1
+                    rep = cpe.cp_report_stuck(cfg, cp.automata)
+                    assert rep == uncached(cpe.cp_report_stuck, cfg, cp.automata)
+                for r in rs:
+                    if r.config not in seen:
+                        seen.add(r.config)
+                        nxt.append(r.config)
+            frontier = nxt
+    assert stuck == 1  # booksale_resp1
+
+
+EMPTY_BUFFER = """
+automaton g {
+  states 1, 2;
+  ports o_a_g, i_b_g;
+  mems m;
+  init 2;
+  1 -> 2 on o_a_g > m;
+  2 -> 1 on m > i_b_g;
+}
+
+init {
+}
+
+network {
+  b {
+    recv i_g y;
+    0
+  }
+}
+"""
+
+
+def test_stuck_networks_keep_their_classification() -> None:
+    # every stuck network state the fixtures reach, and a receiver facing an
+    # empty cell
+    cp = _project(load_program("booksale_resp1.cr"))
+    res = cpe.cp_run(cp.init, cp.automata)
+    assert res.outcome is cpe.Outcome.STUCK
+    rep = cpe.cp_report_stuck(res.final, cp.automata)
+    assert rep.classification == "port-mismatch"
+    assert len(rep.details) == 4
+    assert all(d.endswith(": port mismatch") for d in rep.details)
+    empty = textio.parse_cp(EMPTY_BUFFER)
+    res = cpe.cp_run(empty.init, empty.automata)
+    assert res.outcome is cpe.Outcome.STUCK and not res.trace
+    rep = cpe.cp_report_stuck(res.final, empty.automata)
+    assert rep.classification == "value-mismatch"
+    assert rep.details == ["g at state 2: m > i_b_g: value mismatch"]

@@ -64,6 +64,29 @@ def test_merge_rejects_different_shapes() -> None:
         merge(s, Send(PortName("o", "a", "g"), Var("y"), _b_end()))
 
 
+def _long_behaviour(end) -> "epp.Behaviour":
+    b = end
+    for i in range(2000):
+        if i % 2:
+            b = Send(PortName("o", "b", "h"), Var("x"), b)
+        else:
+            b = Recv(PortName("i", "b", "h"), "x", b)
+    return b
+
+
+def test_merge_and_equality_follow_long_action_spines() -> None:
+    # 2,000 shared actions, then branches to union: deeper than the
+    # interpreter's recursion limit
+    port = PortName("i", "b", "g")
+    yes, no = Branch.make(port, {"yes": _b_end()}), Branch.make(port, {"no": _b_end()})
+    both = Branch.make(port, {"yes": _b_end(), "no": _b_end()})
+    assert merge(_long_behaviour(yes), _long_behaviour(no)) == _long_behaviour(both)
+    assert _long_behaviour(yes) != _long_behaviour(no)
+    with pytest.raises(MergeError) as exc:
+        merge(_long_behaviour(yes), _long_behaviour(Recv(port, "x", _b_end())))
+    assert len(exc.value.path) == 2000 and exc.value.path[-2:] == ("send", "recv")
+
+
 def test_merge_properties_on_generated_branches() -> None:
     rng = random.Random(7)
     port = PortName("i", "b", "g")
