@@ -10,14 +10,12 @@ head position); `reductions` combines both with the automaton states.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .core import (
     BOT,
-    BinOp,
     Call,
     Cond,
     Const,
@@ -50,6 +48,8 @@ from .core import (
     sender_of,
     sorted_etas,
 )
+from . import lts
+from .lts import FAIL_PORTS, FAIL_VALUE, Outcome, RunResult, Step, StuckReport
 
 
 class EvalError(Exception):
@@ -60,23 +60,23 @@ class EvalError(Exception):
 # Expressions
 
 
-def _eval(e: Expr, get: Callable[[str], Value]) -> Value:
+def evaluate(e: Expr, get: Callable[[str], Value]) -> Value:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return get(e.name)
     if isinstance(e, UnOp):
-        v = _eval(e.operand, get)
+        v = evaluate(e.operand, get)
         if not isinstance(v, bool):
             raise EvalError(f"'not' applied to {v!r}")
         return not v
-    left = _eval(e.left, get)
+    left = evaluate(e.left, get)
     if e.op in ("and", "or"):
-        right = _eval(e.right, get)
+        right = evaluate(e.right, get)
         if not (isinstance(left, bool) and isinstance(right, bool)):
             raise EvalError(f"'{e.op}' applied to non-booleans")
         return (left and right) if e.op == "and" else (left or right)
-    right = _eval(e.right, get)
+    right = evaluate(e.right, get)
     if e.op == "=":
         return left == right and type(left) is type(right)
     if e.op == "!=":
@@ -113,18 +113,18 @@ def eval_expr(e: Expr, sigma: Mapping[tuple[str, str], Value], p: str) -> Value:
         except KeyError:
             raise EvalError(f"unbound variable {p}.{name}") from None
 
-    return _eval(e, get)
+    return evaluate(e, get)
 
 
 # ---------------------------------------------------------------------------
 # Configurations
 
 
-def _freeze_sigma(sigma: Mapping[tuple[str, str], Value]) -> tuple:
+def freeze_sigma(sigma: Mapping[tuple[str, str], Value]) -> tuple:
     return tuple(sorted(sigma.items()))
 
 
-def _freeze_astate(astate: Mapping[str, tuple[str, Mapping[str, Value]]]) -> tuple:
+def freeze_astate(astate: Mapping[str, tuple[str, Mapping[str, Value]]]) -> tuple:
     return tuple(
         sorted((g, (s, tuple(sorted(mu.items())))) for g, (s, mu) in astate.items())
     )
@@ -144,7 +144,7 @@ class Configuration:
         sigma: Mapping[tuple[str, str], Value],
         astate: Mapping[str, tuple[str, Mapping[str, Value]]],
     ) -> "Configuration":
-        return Configuration(chor, _freeze_sigma(sigma), _freeze_astate(astate))
+        return Configuration(chor, freeze_sigma(sigma), freeze_astate(astate))
 
     def sigma_map(self) -> dict[tuple[str, str], Value]:
         return dict(self.sigma)
@@ -209,7 +209,7 @@ def _written_before(seed: str, mm: list[Flow]) -> set[str]:
         out |= grow
 
 
-def _mem_cycle(mm: list[Flow]) -> bool:
+def mem_cycle(mm: list[Flow]) -> bool:
     """A cell-to-cell move must read its source before anything overwrites it;
     detect when no such order exists."""
     edges: dict[int, list[int]] = {i: [] for i in range(len(mm))}
@@ -232,10 +232,6 @@ def _mem_cycle(mm: list[Flow]) -> bool:
     return any(state[i] == 0 and visit(i) for i in range(len(mm)))
 
 
-_FAIL_PORTS = "ports"
-_FAIL_VALUE = "value"
-
-
 @lru_cache(maxsize=8192)
 def _phi_parts(phi: Constraint):
     """Split a constraint's flows by endpoint kinds, once per constraint."""
@@ -249,7 +245,7 @@ def _phi_parts(phi: Constraint):
     for f in pm:
         groups.setdefault(f.src.name, []).append(f)
     pm_groups = tuple((p, tuple(groups[p])) for p in sorted(groups))
-    return pp, pm_groups, mp, mm, mm_ordered, _mem_cycle(list(mm))
+    return pp, pm_groups, mp, mm, mm_ordered, mem_cycle(list(mm))
 
 
 @lru_cache(maxsize=8192)
@@ -258,7 +254,7 @@ def _etas_index(etas: frozenset):
     return {eta.receiver: eta for eta in etas}, tuple(sorted_etas(etas))
 
 
-def _match(
+def match_constraint(
     etas: frozenset[Interaction],
     phi: Constraint,
     mu: MemorySnapshot,
@@ -268,7 +264,7 @@ def _match(
     """Shared matcher for the concrete and the symbolic semantics.
 
     Returns (residual etas, sigma writes, mu writes) on success or a failure
-    stage (_FAIL_PORTS / _FAIL_VALUE) otherwise.  All reads, both of the
+    stage (FAIL_PORTS / FAIL_VALUE) otherwise.  All reads, both of the
     store and of memory cells, see the pre-state: a constraint orders every
     read of a cell before any write to it, so a constraint that would need to
     read its own output does not fire.
@@ -284,7 +280,7 @@ def _match(
     """
     pp, pm_groups, mp, mm, mm_ordered, cyclic = _phi_parts(phi)
     if cyclic:
-        return _FAIL_PORTS
+        return FAIL_PORTS
 
     by_receiver, etas_sorted = _etas_index(etas)
     consumed: set[Interaction] = set()
@@ -302,7 +298,7 @@ def _match(
             or not isinstance(eta, (ValCom, Sel))
             or eta.sender != f.src.name
         ):
-            return _FAIL_PORTS
+            return FAIL_PORTS
         consumed.add(eta)
     pm_assign: list[tuple[Flow, Interaction]] = []
     for p, group in pm_groups:
@@ -310,7 +306,7 @@ def _match(
             eta for eta in etas_sorted if sender_of(eta) == p and eta not in consumed
         ]
         if not avail or len(avail) < len(group):
-            return _FAIL_PORTS
+            return FAIL_PORTS
         for i, eta in enumerate(avail):
             consumed.add(eta)
             pm_assign.append((group[i % len(group)], eta))
@@ -319,16 +315,16 @@ def _match(
     for f in mp:
         eta = by_receiver.get(f.dst.name)
         if eta is None:
-            return _FAIL_PORTS
+            return FAIL_PORTS
         if eta not in consumed and isinstance(eta, (RecvVal, RecvSel)):
             consumed.add(eta)
             mp_claims.append((f, eta))
             continue
         birth = next((bf for bf, be in pm_assign if be is eta), None)
         if birth is None or any(be is eta for _, _, be in born_claims):
-            return _FAIL_PORTS
+            return FAIL_PORTS
         if f.src.name in _written_before(birth.dst.name, mm):
-            return _FAIL_PORTS
+            return FAIL_PORTS
         born_claims.append((f, birth, eta))
 
     # one datum per sender and step, shared by all of its deposits
@@ -344,7 +340,7 @@ def _match(
     # data premises against the pre-state
     for f in mm:
         if mu[f.src.name] is BOT:
-            return _FAIL_VALUE
+            return FAIL_VALUE
     for f, eta in mp_claims:
         stored = mu[f.src.name]
         if isinstance(eta, RecvVal):
@@ -352,7 +348,7 @@ def _match(
         else:
             expected = Label(eta.label)
         if stored is BOT or not (stored == expected and type(stored) is type(expected)):
-            return _FAIL_VALUE
+            return FAIL_VALUE
     for f, birth, eta in born_claims:
         stored = mu[f.src.name]
         if isinstance(eta, ValCom):
@@ -361,7 +357,7 @@ def _match(
             assert isinstance(eta, Sel)
             expected = Label(eta.label)
         if stored is BOT or not (stored == expected and type(stored) is type(expected)):
-            return _FAIL_VALUE
+            return FAIL_VALUE
 
     # effects; self-copies first so another writer to the same cell wins
     for f in mm_ordered:
@@ -408,7 +404,7 @@ def match_transition(
     either complete (port-to-port) or turn into runtime receive terms
     (port-to-cell).  Returns (etas', sigma', mu') or None.
     """
-    m = _match(etas, phi, mu, sigma=sigma)
+    m = match_constraint(etas, phi, mu, sigma=sigma)
     if isinstance(m, str):
         return None
     out_etas, sigma_writes, mu_writes = m
@@ -427,7 +423,7 @@ def match_failure_stage(
 ) -> "str | None":
     """None if the match succeeds, else which stage refused it:
     'ports' (shape) or 'value' (a stored datum failed a premise)."""
-    m = _match(etas, phi, mu, sigma=sigma, fresh=_null_fresh if sigma is None else None)
+    m = match_constraint(etas, phi, mu, sigma=sigma, fresh=_null_fresh if sigma is None else None)
     return m if isinstance(m, str) else None
 
 
@@ -477,7 +473,7 @@ def _valid_splits(etas: frozenset[Interaction]) -> list[frozenset[Interaction]]:
     return out
 
 
-def _exposures(
+def exposures(
     c,
     env: dict,
     unfolded: frozenset,
@@ -491,7 +487,7 @@ def _exposures(
         return [], []
     if isinstance(c, Call):
         if allow_unfold and c.name in env and c.name not in unfolded:
-            return _exposures(
+            return exposures(
                 env[c.name], env, unfolded | {c.name}, allow_unfold, above, blocked
             )
         return [], []
@@ -525,7 +521,7 @@ def _exposures(
                     ),
                 )
             )
-        sub_etas, sub_conds = _exposures(
+        sub_etas, sub_conds = exposures(
             cont, env, unfolded, allow_unfold, my_pn, my_pn | above
         )
         for ex in sub_etas:
@@ -572,8 +568,8 @@ def _exposures(
             )
         return eta_out, cond_out
     if isinstance(c, Cond):
-        e1, c1 = _exposures(c.then_branch, env, unfolded, allow_unfold, above, blocked)
-        e2, c2 = _exposures(c.else_branch, env, unfolded, allow_unfold, above, blocked)
+        e1, c1 = exposures(c.then_branch, env, unfolded, allow_unfold, above, blocked)
+        e2, c2 = exposures(c.else_branch, env, unfolded, allow_unfold, above, blocked)
         eta_out = []
         for x1 in e1:
             for x2 in e2:
@@ -618,7 +614,7 @@ def _exposures(
     assert isinstance(c, Def)
     env2 = dict(env)
     env2[c.name] = c.body
-    sub_etas, sub_conds = _exposures(c.cont, env2, unfolded, allow_unfold, above, blocked)
+    sub_etas, sub_conds = exposures(c.cont, env2, unfolded, allow_unfold, above, blocked)
     eta_out = [
         EtaExposure(
             ex.etas,
@@ -641,35 +637,20 @@ def _exposures(
 def head_exposures(c, unfold: bool = True) -> list[EtaExposure]:
     """Every interaction set the precongruence can bring to the head, with a
     context function rebuilding the whole choreography around the residue."""
-    return _exposures(normalize(c), {}, frozenset(), unfold)[0]
-
-
-def cond_exposures(c, unfold: bool = True) -> list[CondExposure]:
-    return _exposures(normalize(c), {}, frozenset(), unfold)[1]
+    return exposures(normalize(c), {}, frozenset(), unfold)[0]
 
 
 # ---------------------------------------------------------------------------
 # Reductions and runs
 
 
-@dataclass(frozen=True)
-class Reduction:
-    kind: str  # "com" | "cond"
-    subject: str  # connector for com, deciding process for cond
-    phi: "Constraint | None"
-    branch: "str | None"
-    pre_state: "str | None"
-    post_state: "str | None"
-    config: Configuration
-
-
-def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Reduction]:
+def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
     """All one-step successors, deterministically ordered and deduplicated."""
     chor = normalize(cfg.chor)
     sigma = cfg.sigma_map()
     astate = cfg.astate_map()
-    eta_exps, cond_exps = _exposures(chor, {}, frozenset(), True)
-    out: list[Reduction] = []
+    eta_exps, cond_exps = exposures(chor, {}, frozenset(), True)
+    out: list[Step] = []
     seen: set = set()
     for ex in eta_exps:
         if ex.connector not in g:
@@ -687,7 +668,7 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Reduction]:
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Reduction("com", ex.connector, t.phi, None, state, t.dst, succ))
+            out.append(Step("com", ex.connector, t.phi, None, state, t.dst, succ))
     for cx in cond_exps:
         v = eval_expr(cx.guard, sigma, cx.process)
         if not isinstance(v, bool):
@@ -698,22 +679,9 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Reduction]:
             continue
         seen.add(key)
         out.append(
-            Reduction("cond", cx.process, None, "then" if v else "else", None, None, succ)
+            Step("cond", cx.process, None, "then" if v else "else", None, None, succ)
         )
     return out
-
-
-class Outcome(Enum):
-    TERMINATED = "terminated"
-    STUCK = "stuck"
-    MAX_STEPS = "max-steps"
-
-
-@dataclass
-class RunResult:
-    outcome: Outcome
-    final: Configuration
-    trace: list[Reduction]
 
 
 def run(
@@ -722,60 +690,32 @@ def run(
     max_steps: int = 1000,
     rng: "random.Random | None" = None,
 ) -> RunResult:
-    """Drive one execution.  Without an rng the scheduler picks the first
-    reduction in enumeration order; with one, a uniformly random reduction."""
-    trace: list[Reduction] = []
-    current = cfg
-    for _ in range(max_steps):
-        if is_terminated(current):
-            return RunResult(Outcome.TERMINATED, current, trace)
-        rs = reductions(current, g)
-        if not rs:
-            return RunResult(Outcome.STUCK, current, trace)
-        r = rs[0] if rng is None else rng.choice(rs)
-        trace.append(r)
-        current = r.config
-    if is_terminated(current):
-        return RunResult(Outcome.TERMINATED, current, trace)
-    if not reductions(current, g):
-        return RunResult(Outcome.STUCK, current, trace)
-    return RunResult(Outcome.MAX_STEPS, current, trace)
-
-
-@dataclass
-class StuckReport:
-    classification: str  # "port-mismatch" | "value-mismatch"
-    details: list[str]
+    """Drive one execution of the choreography (`lts.run`)."""
+    return lts.run(cfg, lambda c: reductions(c, g), lambda c: is_terminated(c), max_steps, rng)
 
 
 def report_stuck(cfg: Configuration, g: ConnectorMapping) -> StuckReport:
     """Explain why no reduction exists: every pending transition either fails
-    on shape (ports and interaction kinds) or on a stored datum."""
-    chor = normalize(cfg.chor)
-    astate = cfg.astate_map()
-    eta_exps, _ = _exposures(chor, {}, frozenset(), True)
-    details: list[str] = []
-    classification = "port-mismatch"
+    on shape (ports and interaction kinds) or on a stored datum.  A failure
+    is listed once per connector, constraint and interaction set."""
     from .textio import pretty_constraint, pretty_eta_set  # lazy: avoid cycle at import time
 
-    seen: set = set()
-    for ex in eta_exps:
+    sigma = cfg.sigma_map()
+    astate = cfg.astate_map()
+    failures: dict[tuple, tuple[str, str]] = {}
+    for ex in exposures(normalize(cfg.chor), {}, frozenset(), True)[0]:
         state, mu = astate[ex.connector]
         for t in g[ex.connector].outgoing(state):
-            stage = match_failure_stage(ex.etas, t.phi, cfg.sigma_map(), mu)
+            stage = match_failure_stage(ex.etas, t.phi, sigma, mu)
             if stage is None:
                 continue
             key = (ex.connector, constraint_key(t.phi), tuple(sorted(eta_key(e) for e in ex.etas)))
-            if key in seen:
-                continue
-            seen.add(key)
-            kind = "value mismatch" if stage == _FAIL_VALUE else "port mismatch"
-            details.append(
-                f"{ex.connector} at state {state}: {pretty_constraint(t.phi)} vs "
-                f"{pretty_eta_set(ex.etas)}: {kind}"
-            )
-            if stage == _FAIL_VALUE:
-                classification = "value-mismatch"
-    if not details:
-        details.append("no pending interactions or no outgoing transitions")
-    return StuckReport(classification, details)
+            if key not in failures:
+                detail = (
+                    f"{ex.connector} at state {state}: {pretty_constraint(t.phi)} vs "
+                    f"{pretty_eta_set(ex.etas)}"
+                )
+                failures[key] = (detail, stage)
+    return lts.stuck_report(
+        failures.values(), "no pending interactions or no outgoing transitions"
+    )

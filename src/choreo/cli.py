@@ -19,7 +19,8 @@ import random
 import sys
 
 from . import chor_engine, compat, cp_engine, epp, textio
-from .chor_engine import Outcome, initial_configuration
+from .chor_engine import initial_configuration
+from .lts import Outcome
 from .core import InputError, pn
 
 
@@ -64,6 +65,41 @@ def _trace_json(trace) -> list[dict]:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _not_projectable(exc: Exception, as_json: bool) -> int:
+    if as_json:
+        _emit({"ok": False, "reason": str(exc)})
+    else:
+        print(f"not projectable: {exc}")
+    return 1
+
+
+def _report_run(res, report_stuck, as_json: bool) -> int:
+    """Print a run's trace, its outcome and, if it got stuck, why; return the
+    exit status."""
+    stuck = report_stuck(res.final) if res.outcome is Outcome.STUCK else None
+    if as_json:
+        payload = {"outcome": res.outcome.value, "steps": _trace_json(res.trace)}
+        if stuck is not None:
+            payload["stuck"] = {
+                "class": stuck.classification,
+                "details": stuck.details,
+            }
+        _emit(payload)
+    else:
+        for line in _trace_lines(res.trace):
+            print(line)
+        if res.outcome is Outcome.TERMINATED:
+            print(f"outcome: terminated ({len(res.trace)} steps)")
+        elif res.outcome is Outcome.STUCK:
+            print(f"outcome: stuck after {len(res.trace)} steps")
+            print(f"stuck class: {stuck.classification}")
+            for d in stuck.details:
+                print("  " + d)
+        else:
+            print(f"outcome: step limit reached ({len(res.trace)} steps)")
+    return 1 if stuck is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +234,9 @@ def cmd_run(args) -> int:
     cfg = initial_configuration(prog)
     rng = random.Random(args.seed) if args.seed is not None else None
     res = chor_engine.run(cfg, prog.connectors, max_steps=args.max_steps, rng=rng)
-    stuck = None
-    if res.outcome is Outcome.STUCK:
-        stuck = chor_engine.report_stuck(res.final, prog.connectors)
-    if args.json:
-        payload = {"outcome": res.outcome.value, "steps": _trace_json(res.trace)}
-        if stuck is not None:
-            payload["stuck"] = {
-                "class": stuck.classification,
-                "details": stuck.details,
-            }
-        _emit(payload)
-    else:
-        for line in _trace_lines(res.trace):
-            print(line)
-        if res.outcome is Outcome.TERMINATED:
-            print(f"outcome: terminated ({len(res.trace)} steps)")
-        elif res.outcome is Outcome.STUCK:
-            print(f"outcome: stuck after {len(res.trace)} steps")
-            print(f"stuck class: {stuck.classification}")
-            for d in stuck.details:
-                print("  " + d)
-        else:
-            print(f"outcome: step limit reached ({len(res.trace)} steps)")
-    return 1 if res.outcome is Outcome.STUCK else 0
+    return _report_run(
+        res, lambda final: chor_engine.report_stuck(final, prog.connectors), args.json
+    )
 
 
 def _project(prog: "textio.Program") -> "cp_engine.CpProgram":
@@ -236,11 +251,7 @@ def cmd_project(args) -> int:
     try:
         cpprog = _project(prog)
     except epp.Unprojectable as exc:
-        if args.json:
-            _emit({"ok": False, "reason": str(exc)})
-        else:
-            print(f"not projectable: {exc}")
-        return 1
+        return _not_projectable(exc, args.json)
     text = textio.pretty_cp(cpprog)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -262,39 +273,14 @@ def cmd_simulate(args) -> int:
         try:
             cpprog = _project(prog)
         except epp.Unprojectable as exc:
-            if args.json:
-                _emit({"ok": False, "reason": str(exc)})
-            else:
-                print(f"not projectable: {exc}")
-            return 1
+            return _not_projectable(exc, args.json)
     rng = random.Random(args.seed) if args.seed is not None else None
     res = cp_engine.cp_run(
         cpprog.init, cpprog.automata, max_steps=args.max_steps, rng=rng
     )
-    stuck = None
-    if res.outcome is Outcome.STUCK:
-        stuck = cp_engine.cp_report_stuck(res.final, cpprog.automata)
-    if args.json:
-        payload = {"outcome": res.outcome.value, "steps": _trace_json(res.trace)}
-        if stuck is not None:
-            payload["stuck"] = {
-                "class": stuck.classification,
-                "details": stuck.details,
-            }
-        _emit(payload)
-    else:
-        for line in _trace_lines(res.trace):
-            print(line)
-        if res.outcome is Outcome.TERMINATED:
-            print(f"outcome: terminated ({len(res.trace)} steps)")
-        elif res.outcome is Outcome.STUCK:
-            print(f"outcome: stuck after {len(res.trace)} steps")
-            print(f"stuck class: {stuck.classification}")
-            for d in stuck.details:
-                print("  " + d)
-        else:
-            print(f"outcome: step limit reached ({len(res.trace)} steps)")
-    return 1 if res.outcome is Outcome.STUCK else 0
+    return _report_run(
+        res, lambda final: cp_engine.cp_report_stuck(final, cpprog.automata), args.json
+    )
 
 
 def cmd_correspond(args) -> int:
@@ -304,11 +290,7 @@ def cmd_correspond(args) -> int:
     try:
         rep = harness.correspondence_check(prog, bound=args.bound)
     except epp.Unprojectable as exc:
-        if args.json:
-            _emit({"ok": False, "reason": str(exc)})
-        else:
-            print(f"not projectable: {exc}")
-        return 1
+        return _not_projectable(exc, args.json)
     if args.json:
         _emit(
             {

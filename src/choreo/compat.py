@@ -14,8 +14,8 @@ following them would not shrink anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass
+from typing import Mapping, Union
 
 from .core import (
     Call,
@@ -35,9 +35,8 @@ from .core import (
     Transition,
     Value,
     connectors_of,
-    constraint_key,
 )
-from .chor_engine import _exposures, _freeze_astate, _match, normalize
+from .chor_engine import exposures, freeze_astate, match_constraint, normalize
 
 
 class TokenSource:
@@ -58,7 +57,7 @@ def abstract_match(
     """Value-free variant of the transition matcher: sent data become fresh
     tokens (one per sending process and step).  Returns (etas', mu') or None."""
     tokens = tokens if tokens is not None else TokenSource()
-    m = _match(etas, phi, mu, sigma=None, fresh=tokens.fresh)
+    m = match_constraint(etas, phi, mu, sigma=None, fresh=tokens.fresh)
     if isinstance(m, str):
         return None
     out, _sigma_writes, mu_writes = m
@@ -255,7 +254,7 @@ def check_compatibility(
     if a0 is None:
         a0 = {name: (a.init_state, a.init_mem_map()) for name, a in g.items()}
     tokens = TokenSource()
-    root = Judgement((), _freeze_astate(a0), c, None, "start")
+    root = Judgement((), freeze_astate(a0), c, None, "start")
     worklist: list[Judgement] = [root]
     checked = 0
     while worklist:
@@ -315,7 +314,7 @@ def check_compatibility(
         successes: list[Judgement] = []
         seen_push: set = set()
         tried: list[str] = []
-        for ex in _exposures(ch, {}, frozenset(), False)[0]:
+        for ex in exposures(ch, {}, frozenset(), False)[0]:
             state, mu = astate[ex.connector]
             for t in g[ex.connector].outgoing(state):
                 if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
@@ -330,7 +329,7 @@ def check_compatibility(
                 assert size(succ_chor) < budget
                 astate2 = dict(astate)
                 astate2[ex.connector] = (t.dst, mu2)
-                succ = Judgement(j.gamma, _freeze_astate(astate2), succ_chor, j, desc)
+                succ = Judgement(j.gamma, freeze_astate(astate2), succ_chor, j, desc)
                 key = (succ.astate, succ.chor)
                 if key in seen_push:
                     continue

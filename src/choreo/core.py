@@ -184,10 +184,6 @@ class RecvSel:
 Interaction = Union[ValCom, Sel, RecvVal, RecvSel]
 
 
-def is_runtime(eta: Interaction) -> bool:
-    return isinstance(eta, (RecvVal, RecvSel))
-
-
 def receiver_of(eta: Interaction) -> str:
     return eta.receiver
 
@@ -485,21 +481,23 @@ def pn(c: Choreography) -> frozenset[str]:
 
 
 def connectors_of(c: Choreography) -> frozenset[str]:
-    if isinstance(c, Prefix):
-        return frozenset({c.connector}) | connectors_of(c.cont)
+    names: set[str] = set()
+    while isinstance(c, Prefix):  # a loop: a long chain must not exhaust the stack
+        names.add(c.connector)
+        c = c.cont
     if isinstance(c, Cond):
-        return connectors_of(c.then_branch) | connectors_of(c.else_branch)
-    if isinstance(c, Def):
-        return connectors_of(c.body) | connectors_of(c.cont)
-    return frozenset()
+        names |= connectors_of(c.then_branch) | connectors_of(c.else_branch)
+    elif isinstance(c, Def):
+        names |= connectors_of(c.body) | connectors_of(c.cont)
+    return frozenset(names)
 
 
 def check_closed(c: Choreography, bound: frozenset[str] = frozenset()) -> list[str]:
     """Every Call must sit in the scope of a matching Def."""
+    while isinstance(c, Prefix):
+        c = c.cont
     if isinstance(c, Call):
         return [] if c.name in bound else [f"call of undefined procedure {c.name}"]
-    if isinstance(c, Prefix):
-        return check_closed(c.cont, bound)
     if isinstance(c, Cond):
         return check_closed(c.then_branch, bound) + check_closed(c.else_branch, bound)
     if isinstance(c, Def):
@@ -581,17 +579,6 @@ class Constraint:
                 if isinstance(e, Port):
                     out.add(e.name)
         return frozenset(out)
-
-    def cells_used(self) -> frozenset[str]:
-        out: set[str] = set()
-        for f in self.flows:
-            for e in (f.src, f.dst):
-                if isinstance(e, Mem):
-                    out.add(e.name)
-        return frozenset(out)
-
-    def targets(self) -> list[FlowEnd]:
-        return [f.dst for f in self.flows]
 
 
 def constraint_key(phi: Constraint) -> tuple:

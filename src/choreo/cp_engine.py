@@ -27,15 +27,9 @@ from .core import (
     Value,
     expr_key,
 )
-from .chor_engine import (
-    EvalError,
-    Outcome,
-    _eval,
-    _freeze_astate,
-    _mem_cycle,
-    _FAIL_PORTS,
-    _FAIL_VALUE,
-)
+from .chor_engine import EvalError, evaluate, freeze_astate, mem_cycle
+from . import lts
+from .lts import FAIL_PORTS, FAIL_VALUE, Outcome, RunResult, Step, StuckReport
 from .epp import (
     BCall,
     BCond,
@@ -58,7 +52,7 @@ def _store_eval(e, store: Mapping[str, Value]) -> Value:
         except KeyError:
             raise EvalError(f"unbound variable {name}") from None
 
-    return _eval(e, get)
+    return evaluate(e, get)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +94,7 @@ class NetConfiguration:
     def make(
         net: Network, astate: Mapping[str, tuple[str, Mapping[str, Value]]]
     ) -> "NetConfiguration":
-        return NetConfiguration(net, _freeze_astate(astate))
+        return NetConfiguration(net, freeze_astate(astate))
 
     def astate_map(self) -> dict[str, tuple[str, dict[str, Value]]]:
         return {g: (s, dict(cells)) for g, (s, cells) in self.astate}
@@ -210,7 +204,7 @@ class _PortPlan:
 
 
 def _owner_ports(phi: Constraint) -> "_PortPlan | str":
-    """Classify phi's flow endpoints by owning process.  Gives _FAIL_PORTS
+    """Classify phi's flow endpoints by owning process.  Gives FAIL_PORTS
     when no network can fire phi: a port of the wrong direction, two flows
     into one process, a process on both sides, a process sending through two
     ports, or cell moves that no order can serve."""
@@ -221,24 +215,24 @@ def _owner_ports(phi: Constraint) -> "_PortPlan | str":
         src_pn = PortName.parse(f.src.name) if isinstance(f.src, Port) else None
         dst_pn = PortName.parse(f.dst.name) if isinstance(f.dst, Port) else None
         if src_pn is not None and src_pn.direction != "o":
-            return _FAIL_PORTS
+            return FAIL_PORTS
         if dst_pn is not None and dst_pn.direction != "i":
-            return _FAIL_PORTS
+            return FAIL_PORTS
         if src_pn is not None:
             out_flows.setdefault(src_pn.process, []).append(f)
         if dst_pn is not None:
             if dst_pn.process in in_flow:
-                return _FAIL_PORTS
+                return FAIL_PORTS
             in_flow[dst_pn.process] = f
         if isinstance(f.src, Mem) and isinstance(f.dst, Mem):
             mm.append(f)
-    if set(out_flows) & set(in_flow) or _mem_cycle(mm):
-        return _FAIL_PORTS
+    if set(out_flows) & set(in_flow) or mem_cycle(mm):
+        return FAIL_PORTS
     senders = []
     for p, flows in out_flows.items():
         port = flows[0].src.name
         if any(f.src.name != port for f in flows):
-            return _FAIL_PORTS
+            return FAIL_PORTS
         cells = tuple(f.dst.name for f in flows if isinstance(f.dst, Mem))
         senders.append((p, PortName.parse(port), cells))
     receivers = []
@@ -274,8 +268,8 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
     processes that own a port of phi are read, and the new network is built
     only when phi fires."""
     plan = _port_plan(phi)
-    if plan is _FAIL_PORTS:
-        return _FAIL_PORTS
+    if plan is FAIL_PORTS:
+        return FAIL_PORTS
     procs = net.procs
     heads: dict[str, tuple[int, Focus]] = {}
 
@@ -284,18 +278,18 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
     for p, port, _cells in plan.senders:
         head = heads[p] = _owner_focus(procs, p)
         if head is None:
-            return _FAIL_PORTS
+            return FAIL_PORTS
         action = head[1].action
         if isinstance(action, Send) and action.port == port:
             out_label[p] = None
         elif isinstance(action, SelSend) and action.port == port:
             out_label[p] = action.label
         else:
-            return _FAIL_PORTS
+            return FAIL_PORTS
     for q, port, sender, _cell in plan.receivers:
         head = heads[q] = _owner_focus(procs, q)
         if head is None:
-            return _FAIL_PORTS
+            return FAIL_PORTS
         action = head[1].action
         if sender is None:  # from a cell
             ok = isinstance(action, (Recv, Branch)) and action.port == port
@@ -308,23 +302,23 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
                 and out_label[sender] in action.case_map()
             )
         if not ok:
-            return _FAIL_PORTS
+            return FAIL_PORTS
 
     # data premises, all against the pre-state
     for src, _dst in plan.moves:
         if mu[src] is BOT:
-            return _FAIL_VALUE
+            return FAIL_VALUE
     for q, _port, _sender, cell in plan.receivers:
         if cell is not None:
             stored = mu[cell]
             if stored is BOT:
-                return _FAIL_VALUE
+                return FAIL_VALUE
             action = heads[q][1].action
             if isinstance(action, Branch):
                 if not (
                     isinstance(stored, Label) and stored.name in action.case_map()
                 ):
-                    return _FAIL_VALUE
+                    return FAIL_VALUE
 
     # effects
     out_value: dict[str, Value] = {}
@@ -361,25 +355,14 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
 # Reductions and runs
 
 
-@dataclass(frozen=True)
-class CpReduction:
-    kind: str  # "com" | "cond"
-    subject: str
-    phi: "Constraint | None"
-    branch: "str | None"
-    pre_state: "str | None"
-    post_state: "str | None"
-    config: NetConfiguration
-
-
 def cp_reductions(
     cfg: NetConfiguration, automata: ConnectorMapping
-) -> list[CpReduction]:
+) -> list[Step]:
     """Every reduction of cfg: communications connector by connector, then
     conditionals process by process, each in name order.  A successor shares
     everything the step leaves alone with cfg."""
     astate, procs = cfg.astate, cfg.net.procs
-    out: list[CpReduction] = []
+    out: list[Step] = []
     seen: set = set()
     for k, (g, (state, cells)) in enumerate(astate):
         if g not in automata:
@@ -398,7 +381,7 @@ def cp_reductions(
             if key in seen:
                 continue
             seen.add(key)
-            out.append(CpReduction("com", g, t.phi, None, state, t.dst, succ))
+            out.append(Step("com", g, t.phi, None, state, t.dst, succ))
     for i, (q, store, b) in enumerate(procs):
         focus = head_focus(b)
         if focus is None or not isinstance(focus.action, BCond):
@@ -414,7 +397,7 @@ def cp_reductions(
             continue
         seen.add(key)
         out.append(
-            CpReduction("cond", q, None, "then" if v else "else", None, None, succ)
+            Step("cond", q, None, "then" if v else "else", None, None, succ)
         )
     return out
 
@@ -423,66 +406,32 @@ def cp_terminated(cfg: NetConfiguration) -> bool:
     return not normalize_network(cfg.net).procs
 
 
-@dataclass
-class CpRunResult:
-    outcome: Outcome
-    final: NetConfiguration
-    trace: list[CpReduction]
-
-
 def cp_run(
     cfg: NetConfiguration,
     automata: ConnectorMapping,
     max_steps: int = 1000,
     rng: "random.Random | None" = None,
-) -> CpRunResult:
-    trace: list[CpReduction] = []
-    current = cfg
-    for _ in range(max_steps):
-        if cp_terminated(current):
-            return CpRunResult(Outcome.TERMINATED, current, trace)
-        rs = cp_reductions(current, automata)
-        if not rs:
-            return CpRunResult(Outcome.STUCK, current, trace)
-        r = rs[0] if rng is None else rng.choice(rs)
-        trace.append(r)
-        current = r.config
-    if cp_terminated(current):
-        return CpRunResult(Outcome.TERMINATED, current, trace)
-    if not cp_reductions(current, automata):
-        return CpRunResult(Outcome.STUCK, current, trace)
-    return CpRunResult(Outcome.MAX_STEPS, current, trace)
+) -> RunResult:
+    """Drive one execution of the network (`lts.run`)."""
+    return lts.run(
+        cfg, lambda c: cp_reductions(c, automata), lambda c: cp_terminated(c), max_steps, rng
+    )
 
 
-@dataclass
-class CpStuckReport:
-    classification: str
-    details: list[str]
-
-
-def cp_report_stuck(
-    cfg: NetConfiguration, automata: ConnectorMapping
-) -> CpStuckReport:
+def cp_report_stuck(cfg: NetConfiguration, automata: ConnectorMapping) -> StuckReport:
+    """Explain why no reduction exists: every failed transition of every
+    connector, connectors in name order."""
     from .textio import pretty_constraint  # lazy import to avoid a module cycle
 
     astate = cfg.astate_map()
-    details: list[str] = []
-    classification = "port-mismatch"
+    failures: list[tuple[str, str]] = []
     for g in sorted(astate):
         state, mu = astate[g]
         for t in automata[g].outgoing(state):
             m = cp_match_transition(cfg.net, t.phi, mu)
-            if not isinstance(m, str):
-                continue
-            kind = "value mismatch" if m == _FAIL_VALUE else "port mismatch"
-            details.append(
-                f"{g} at state {state}: {pretty_constraint(t.phi)}: {kind}"
-            )
-            if m == _FAIL_VALUE:
-                classification = "value-mismatch"
-    if not details:
-        details.append("no outgoing transitions in any connector state")
-    return CpStuckReport(classification, details)
+            if isinstance(m, str):
+                failures.append((f"{g} at state {state}: {pretty_constraint(t.phi)}", m))
+    return lts.stuck_report(failures, "no outgoing transitions in any connector state")
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +530,3 @@ def pruning_leq(n1: Network, n2: Network) -> bool:
             return False
     return True
 
-
-def network_equiv(n1: Network, n2: Network) -> bool:
-    return pruning_leq(n1, n2) and pruning_leq(n2, n1)

@@ -1,4 +1,4 @@
-"""Reference oracles, automaton builders, fixtures, exploration, and the
+"""Reference oracles, fault injection, fixtures, exploration, and the
 cross-semantics correspondence checker.
 
 The eta-reduction oracle recomputes one-step labelled reductions of an
@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .core import (
     BOT,
@@ -45,15 +46,11 @@ from .core import (
     Var,
     desugar_multicast,
     instantiate,
-    pn,
     sorted_etas,
-    validate_automaton,
 )
 from .chor_engine import (
     Configuration,
-    Outcome,
-    Reduction,
-    _freeze_sigma,
+    freeze_sigma,
     eval_expr,
     initial_configuration,
     is_terminated,
@@ -64,195 +61,12 @@ from .cp_engine import (
     NetConfiguration,
     Network,
     cp_reductions,
-    cp_terminated,
     normalize_network,
     pruning_leq,
 )
-from .epp import PortName, project_connectors, project_network, projectable
+from .epp import project_connectors, project_network, projectable
+from .lts import Search, search
 from . import textio
-
-
-# ---------------------------------------------------------------------------
-# Automaton builders (formal templates over ports p1..p4 and cells m, m1, m2)
-
-
-def _ca(
-    name: str,
-    states: Iterable[str],
-    ports: Iterable[str],
-    mems: Iterable[str],
-    trans: Iterable[tuple[str, str, Iterable[tuple[str, str]]]],
-    init: str,
-) -> ConstraintAutomaton:
-    port_set, mem_set = set(ports), set(mems)
-
-    def end(x: str):
-        if x in port_set:
-            return Port(x)
-        if x in mem_set:
-            return Mem(x)
-        raise InputError(f"{name}: unknown flow end {x}")
-
-    transitions = [
-        Transition(src, Constraint(frozenset(Flow(end(a), end(b)) for a, b in flows)), dst)
-        for src, dst, flows in trans
-    ]
-    a = ConstraintAutomaton.make(name, list(states), list(ports), list(mems), transitions, init, {})
-    problems = validate_automaton(a)
-    if problems:
-        raise InputError(f"{name}: " + "; ".join(problems))
-    return a
-
-
-def sync() -> ConstraintAutomaton:
-    return _ca("Sync", ["1"], ["p1", "p2"], [], [("1", "1", [("p1", "p2")])], "1")
-
-
-def buffer1() -> ConstraintAutomaton:
-    return _ca(
-        "Buffer1",
-        ["1", "2"],
-        ["p1", "p2"],
-        ["m"],
-        [("1", "2", [("p1", "m")]), ("2", "1", [("m", "p2")])],
-        "1",
-    )
-
-
-def buffer2() -> ConstraintAutomaton:
-    return _ca(
-        "Buffer2",
-        ["1", "2", "3"],
-        ["p1", "p2"],
-        ["m1", "m2"],
-        [
-            ("1", "2", [("p1", "m1")]),
-            ("2", "1", [("m1", "p2")]),
-            ("2", "2", [("m1", "p2"), ("p1", "m1")]),
-            ("2", "3", [("p1", "m2")]),
-            ("3", "2", [("m1", "p2"), ("m2", "m1")]),
-        ],
-        "1",
-    )
-
-
-def spread2() -> ConstraintAutomaton:
-    return _ca(
-        "Spread2",
-        ["1"],
-        ["p1", "p2", "p3"],
-        [],
-        [("1", "1", [("p1", "p2"), ("p1", "p3")])],
-        "1",
-    )
-
-
-def spread3() -> ConstraintAutomaton:
-    return _ca(
-        "Spread3",
-        ["1"],
-        ["p1", "p2", "p3", "p4"],
-        [],
-        [("1", "1", [("p1", "p2"), ("p1", "p3"), ("p1", "p4")])],
-        "1",
-    )
-
-
-def bufferspread2() -> ConstraintAutomaton:
-    return _ca(
-        "BufferSpread2",
-        ["1", "2", "da", "db"],
-        ["p1", "p2", "p3"],
-        ["m1", "m2"],
-        [
-            ("1", "2", [("p1", "m1"), ("p1", "m2")]),
-            ("2", "1", [("m1", "p2"), ("m2", "p3")]),
-            ("2", "da", [("m1", "p2")]),
-            ("2", "db", [("m2", "p3")]),
-            ("da", "1", [("m2", "p3")]),
-            ("db", "1", [("m1", "p2")]),
-        ],
-        "1",
-    )
-
-
-def rendezvous() -> ConstraintAutomaton:
-    return _ca(
-        "Rendezvous",
-        ["1"],
-        ["p1", "p2", "p3", "p4"],
-        [],
-        [("1", "1", [("p1", "p2"), ("p3", "p4")])],
-        "1",
-    )
-
-
-def alternator() -> ConstraintAutomaton:
-    return _ca(
-        "Alternator",
-        ["1", "2", "co2"],
-        ["p1", "p2", "p3", "p4"],
-        [],
-        [
-            ("1", "2", [("p1", "p2")]),
-            ("2", "1", [("p3", "p4")]),
-            ("1", "co2", [("p3", "p4")]),
-            ("co2", "1", [("p1", "p2")]),
-        ],
-        "1",
-    )
-
-
-def indep2() -> ConstraintAutomaton:
-    return _ca(
-        "Indep2",
-        ["1"],
-        ["p1", "p2", "p3", "p4"],
-        [],
-        [("1", "1", [("p1", "p2")]), ("1", "1", [("p3", "p4")])],
-        "1",
-    )
-
-
-def relay2() -> ConstraintAutomaton:
-    return _ca(
-        "Relay2",
-        ["1", "2"],
-        ["p1", "p2", "p3"],
-        [],
-        [("1", "2", [("p1", "p2")]), ("2", "1", [("p1", "p3")])],
-        "1",
-    )
-
-
-def chain4() -> ConstraintAutomaton:
-    """Buffer both sends, then deliver them: the well-behaved two-cell relay."""
-    return _ca(
-        "Chain4",
-        ["1", "2", "3", "4"],
-        ["p1", "p2", "p3", "p4"],
-        ["m1", "m2"],
-        [
-            ("1", "2", [("p1", "m1")]),
-            ("2", "3", [("p3", "m2")]),
-            ("3", "4", [("m1", "p2")]),
-            ("4", "1", [("m2", "p4")]),
-        ],
-        "1",
-    )
-
-
-def twosinks() -> ConstraintAutomaton:
-    """Two moves from the start that never rejoin; the diamond check reports
-    Unknown with this pair as witness."""
-    return _ca(
-        "TwoSinks",
-        ["1", "2", "3"],
-        ["p1", "p2", "p3"],
-        [],
-        [("1", "2", [("p1", "p2")]), ("1", "3", [("p1", "p3")])],
-        "1",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +122,17 @@ def drop_transition(a: ConstraintAutomaton, index: int, name: "str | None" = Non
 
 def bad_alternator() -> ConstraintAutomaton:
     """Alternator that asks for the first pair again instead of the second."""
-    return relabel_transition(alternator(), 1, [("p1", "p2")], name="BadAlternator")
+    return relabel_transition(load_automaton("alternator.ca"), 1, [("p1", "p2")], name="BadAlternator")
 
 
 def swapped_rendezvous() -> ConstraintAutomaton:
     """Barrier whose two targets are exchanged."""
-    return swap_ports(rendezvous(), "p2", "p4", name="SwappedRendezvous")
+    return swap_ports(load_automaton("rendezvous.ca"), "p2", "p4", name="SwappedRendezvous")
 
 
 def crossed_chain4() -> ConstraintAutomaton:
     """Two-cell relay that delivers each buffered value to the other target."""
-    return swap_ports(chain4(), "p2", "p4", name="CrossedChain4")
+    return swap_ports(load_automaton("chain4.ca"), "p2", "p4", name="CrossedChain4")
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +295,7 @@ def oracle_eta_reductions(
         if max_label is not None and len(fl) > max_label:
             return
         fe = frozenset(e)
-        fs = _freeze_sigma(s)
+        fs = freeze_sigma(s)
         fm = tuple(sorted(m.items()))
         results.add(OracleResult(Constraint(fl), fe, fs, fm))
         key = (fe, fs, fm, used, written, fl, depth_left)
@@ -505,66 +319,10 @@ def oracle_by_label(results: set[OracleResult]) -> dict[Constraint, set[tuple]]:
 # Exhaustive exploration
 
 
-@dataclass
-class ExploreResult:
-    nodes: set[Configuration]
-    edges: set[tuple[Configuration, tuple, Configuration]]
-    stuck: set[Configuration]
-    terminated: set[Configuration]
-    truncated: bool
-
-
-def _edge_info(r: Reduction) -> tuple:
-    if r.kind == "com":
-        return ("com", r.subject, tuple(str(f.src) + ">" + str(f.dst) for f in r.phi.sorted_flows()))
-    return ("cond", r.subject, r.branch)
-
-
-def exhaustive_explore(cfg: Configuration, g: ConnectorMapping, bound: int) -> ExploreResult:
+def exhaustive_explore(cfg: Configuration, g: ConnectorMapping, bound: int) -> Search:
     """Breadth-first closure of the reduction relation to the given depth."""
     cfg = Configuration.make(normalize(cfg.chor), cfg.sigma_map(), cfg.astate_map())
-    nodes = {cfg}
-    edges: set = set()
-    stuck: set = set()
-    terminated: set = set()
-    truncated = False
-    frontier = [cfg]
-    for _ in range(bound):
-        nxt: list[Configuration] = []
-        for cur in frontier:
-            if is_terminated(cur):
-                terminated.add(cur)
-                continue
-            rs = reductions(cur, g)
-            if not rs:
-                stuck.add(cur)
-                continue
-            for r in rs:
-                edges.add((cur, _edge_info(r), r.config))
-                if r.config not in nodes:
-                    nodes.add(r.config)
-                    nxt.append(r.config)
-        frontier = nxt
-        if not frontier:
-            break
-    for cur in frontier:
-        if is_terminated(cur):
-            terminated.add(cur)
-        elif not reductions(cur, g):
-            stuck.add(cur)
-        else:
-            truncated = True
-    return ExploreResult(nodes, edges, stuck, terminated, truncated)
-
-
-def advance(cfg: Configuration, g: ConnectorMapping, steps: int) -> Configuration:
-    """Take the first reduction repeatedly (the deterministic scheduler)."""
-    for _ in range(steps):
-        rs = reductions(cfg, g)
-        if not rs:
-            raise InputError("no reduction available while advancing")
-        cfg = rs[0].config
-    return cfg
+    return search(cfg, lambda c: reductions(c, g), bound, lambda c: is_terminated(c))
 
 
 def advance_until_connector(
@@ -694,53 +452,36 @@ def _describe_step(r) -> str:
 
 
 def _complete(nc, pg, astate, net, depth) -> "NetConfiguration | None":
-    frontier = [nc]
-    seen = {nc}
-    for _ in range(depth):
-        nxt = []
-        for cur in frontier:
-            for nr in cp_reductions(cur, pg):
-                cand = nr.config
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if cand.astate == astate and pruning_leq(net, cand.net):
-                    return cand
-                nxt.append(cand)
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+    """A network configuration a few steps from nc that matches a
+    choreography step the network could not match in one."""
+    return search(
+        nc,
+        lambda n: cp_reductions(n, pg),
+        depth,
+        goal=lambda n: n.astate == astate and pruning_leq(net, n.net),
+    ).found
 
 
 def _chor_complete(cc, g, astate, net, depth) -> "Configuration | None":
     """Several choreography steps may be needed to reach one network step,
     because commuting an interaction forward can require resolving an earlier
     one first.  Search a few levels deep for a matching configuration."""
-    frontier = [cc]
-    seen = {cc}
-    for _ in range(depth):
-        nxt = []
-        for cur in frontier:
-            for cr in reductions(cur, g):
-                cand = cr.config
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if cand.astate == astate and pruning_leq(_project_cfg(cand), net):
-                    return cand
-                nxt.append(cand)
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+    return search(
+        cc,
+        lambda c: reductions(c, g),
+        depth,
+        goal=lambda c: c.astate == astate and pruning_leq(_project_cfg(c), net),
+    ).found
 
 
 # ---------------------------------------------------------------------------
 # Random projectable programs
 
 
-_ZOO = ("Sync", "Buffer1", "Spread2")
+@lru_cache(maxsize=None)
+def _template(name: str) -> ConstraintAutomaton:
+    """A connector template of the generator, parsed once from its fixture."""
+    return load_automaton(f"{name.lower()}.ca")
 
 
 def gen_random_program(rng: random.Random) -> "textio.Program":
@@ -766,7 +507,6 @@ def gen_random_program(rng: random.Random) -> "textio.Program":
 def _gen_candidate(rng: random.Random) -> "textio.Program":
     n_proc = rng.choice([2, 3, 3])
     procs = ["p", "q", "r"][:n_proc]
-    templates = {"Sync": sync(), "Buffer1": buffer1(), "Spread2": spread2()}
     n_conn = rng.choice([1, 2, 2])
     bindings: dict[str, tuple[str, dict[str, str]]] = {}
     connectors: dict[str, ConstraintAutomaton] = {}
@@ -774,7 +514,7 @@ def _gen_candidate(rng: random.Random) -> "textio.Program":
         gname = f"g{i + 1}"
         choices = ["Sync", "Buffer1"] + (["Spread2"] if n_proc == 3 else [])
         tname = rng.choice(choices)
-        t = templates[tname]
+        t = _template(tname)
         if i == 0:
             owners = rng.sample(procs, len(t.ports))
         else:
@@ -877,7 +617,7 @@ def _gen_candidate(rng: random.Random) -> "textio.Program":
         init_sigma[(x, "m0")] = f"d{x}"
         init_sigma[(x, "flag")] = rng.random() < 0.5
     return textio.Program(
-        {t.name: t for t in (templates[n] for n, _ in bindings.values())},
+        {t.name: t for t in (_template(n) for n, _ in bindings.values())},
         bindings,
         connectors,
         init_sigma,

@@ -1,0 +1,162 @@
+"""The labelled transition system both semantics share.
+
+A semantics hands in a successor function, from a state to its `Step`s in a
+fixed order, and a test for successful termination.  `run` drives one
+execution, `search` explores breadth first, and `stuck_report` explains a
+state that has no step.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Iterable
+
+# the stage at which an attempted transition failed
+FAIL_PORTS = "ports"  # shape: ports and interaction or action kinds
+FAIL_VALUE = "value"  # a stored datum failed a premise
+
+
+@dataclass(frozen=True)
+class Step:
+    kind: str  # "com" | "cond"
+    subject: str  # connector for com, deciding process for cond
+    phi: "object | None"  # the fired constraint, for com
+    branch: "str | None"  # "then" | "else", for cond
+    pre_state: "str | None"
+    post_state: "str | None"
+    config: object
+
+    @property
+    def label(self) -> tuple:
+        """What the step does, apart from the state it leads to."""
+        if self.kind == "com":
+            flows = tuple(str(f.src) + ">" + str(f.dst) for f in self.phi.sorted_flows())
+            return ("com", self.subject, flows)
+        return ("cond", self.subject, self.branch)
+
+
+Successors = Callable[[object], "list[Step]"]
+
+
+class Outcome(Enum):
+    TERMINATED = "terminated"
+    STUCK = "stuck"
+    MAX_STEPS = "max-steps"
+
+
+@dataclass
+class RunResult:
+    outcome: Outcome
+    final: object
+    trace: list[Step]
+
+
+def run(
+    cfg,
+    successors: Successors,
+    terminated: Callable[[object], bool],
+    max_steps: int,
+    rng: "random.Random | None",
+) -> RunResult:
+    """Drive one execution.  Without an rng the scheduler takes the first
+    step in enumeration order; with one, a uniformly random step."""
+    trace: list[Step] = []
+    while True:
+        if terminated(cfg):
+            return RunResult(Outcome.TERMINATED, cfg, trace)
+        steps = successors(cfg)
+        if not steps:
+            return RunResult(Outcome.STUCK, cfg, trace)
+        if len(trace) >= max_steps:
+            return RunResult(Outcome.MAX_STEPS, cfg, trace)
+        step = steps[0] if rng is None else rng.choice(steps)
+        trace.append(step)
+        cfg = step.config
+
+
+@dataclass
+class Search:
+    nodes: set
+    edges: set  # (state, step label, next state)
+    stuck: set
+    terminated: set
+    truncated: bool
+    found: object = None
+
+
+def _never(_state) -> bool:
+    return False
+
+
+def search(
+    start,
+    successors: Successors,
+    depth: int,
+    terminated: Callable[[object], bool] = _never,
+    goal: "Callable[[object], bool] | None" = None,
+) -> Search:
+    """Breadth-first closure of `successors` from `start`, `depth` levels
+    deep.  A terminated state and a state without steps (stuck) are recorded
+    and not expanded.
+
+    With a goal, the search stops at the first newly reached state the goal
+    accepts and returns it as `found`.  Without one, the states left at the
+    last level are classified as well: terminated, stuck, or, when they still
+    have a step, as making the search `truncated`."""
+    res = Search({start}, set(), set(), set(), False)
+    nodes, edges = res.nodes, res.edges
+    frontier = [start]
+    for level in range(depth + 1):
+        last = level == depth
+        if last and goal is not None:
+            break
+        nxt = []
+        for cur in frontier:
+            if terminated(cur):
+                res.terminated.add(cur)
+                continue
+            steps = successors(cur)
+            if not steps:
+                res.stuck.add(cur)
+                continue
+            if last:
+                res.truncated = True
+                continue
+            for step in steps:
+                succ = step.config
+                edges.add((cur, step.label, succ))
+                if succ in nodes:
+                    continue
+                nodes.add(succ)
+                if goal is not None and goal(succ):
+                    res.found = succ
+                    return res
+                nxt.append(succ)
+        frontier = nxt
+        if not frontier:
+            break
+    return res
+
+
+@dataclass
+class StuckReport:
+    classification: str  # "port-mismatch" | "value-mismatch"
+    details: list[str]
+
+
+def stuck_report(failures: Iterable[tuple[str, str]], empty: str) -> StuckReport:
+    """Explain a state without steps from its failed attempts, given as
+    (detail, failure stage) pairs.  The state is a value mismatch if any
+    attempt failed on a stored datum, a port mismatch otherwise; `empty` is
+    the one detail when nothing was attempted."""
+    details: list[str] = []
+    classification = "port-mismatch"
+    for detail, stage in failures:
+        if stage == FAIL_VALUE:
+            classification = "value-mismatch"
+            details.append(f"{detail}: value mismatch")
+        else:
+            details.append(f"{detail}: port mismatch")
+    return StuckReport(classification, details or [empty])

@@ -26,8 +26,7 @@ Grammar sketch (full EBNF in the README):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from .core import (
     BOT,
@@ -39,6 +38,7 @@ from .core import (
     ConstraintAutomaton,
     Def,
     END,
+    End,
     Expr,
     Flow,
     FlowEnd,
@@ -53,18 +53,18 @@ from .core import (
     RecvVal,
     Sel,
     Transition,
+    UnOp,
     ValCom,
     Value,
-    ValCom as _ValCom,
     Var,
     check_closed,
+    connectors_of,
     desugar_multicast,
     eta_key,
     instantiate,
     sorted_etas,
     validate_automaton,
     validate_interaction_set,
-    value_key,
 )
 from . import epp
 from . import cp_engine
@@ -248,8 +248,6 @@ class _Parser:
     def _expr_not(self) -> Expr:
         if self.at_word("not"):
             self.next()
-            from .core import UnOp
-
             return UnOp("not", self._expr_not())
         return self._expr_cmp()
 
@@ -355,10 +353,28 @@ class _Parser:
     # -- choreographies ----------------------------------------------------
 
     def chor(self, runtime: bool) -> "core_chor":
+        """A choreography.  Its prefix spine is read in a loop, so a long
+        straight-line program nests no Python calls."""
+        spine: list[tuple[frozenset[Interaction], str]] = []
+        while self._at_prefix():
+            etas = self.etaset(runtime)
+            self.eat_word("thru")
+            connector = self.ident("connector")
+            self.eat_sym(";")
+            spine.append((etas, connector))
+        c = self._chor_tail(runtime)
+        for etas, connector in reversed(spine):
+            c = Prefix(etas, connector, c)
+        return c
+
+    def _at_prefix(self) -> bool:
         t = self.peek()
-        if t.kind == "number" and t.text == "0":
-            self.next()
-            return END
+        if (t.kind == "number" and t.text == "0") or self.at_word("if") or self.at_word("def"):
+            return False
+        return t.kind != "ident" or self._starts_eta()
+
+    def _chor_tail(self, runtime: bool) -> "core_chor":
+        """What ends a prefix spine: 0, a conditional, a def or a call."""
         if self.at_word("if"):
             self.next()
             proc = self.ident("process")
@@ -385,15 +401,8 @@ class _Parser:
             cont = self.chor(runtime)
             self.eat_sym("}")
             return Def(name, body, cont)
-        if t.kind == "ident" and not self._starts_eta():
-            self.next()
-            return Call(t.text)
-        etas = self.etaset(runtime)
-        self.eat_word("thru")
-        connector = self.ident("connector")
-        self.eat_sym(";")
-        cont = self.chor(runtime)
-        return Prefix(etas, connector, cont)
+        t = self.next()
+        return END if t.kind == "number" else Call(t.text)
 
     def _starts_eta(self) -> bool:
         nxt = self.peek(1)
@@ -581,8 +590,6 @@ def parse_program(src: str, runtime: bool = False) -> Program:
     problems = check_closed(main)
     if problems:
         raise InputError("; ".join(problems))
-    from .core import connectors_of
-
     missing = sorted(connectors_of(main) - set(connectors))
     if missing:
         raise InputError("undefined connectors: " + ", ".join(missing))
@@ -668,32 +675,43 @@ def _port(p: _Parser, proc: str) -> "epp.PortName":
 
 
 def _behaviour(p: _Parser, proc: str) -> "epp.Behaviour":
+    """A behaviour.  Its action spine is read in a loop, so a long process
+    nests no Python calls."""
+    spine: list[tuple] = []  # (action class, port, expression | variable | label)
+    while True:
+        if p.at_word("send"):
+            p.next()
+            port = _port(p, proc)
+            p.eat_sym("<")
+            e = p.expr()
+            p.eat_sym(">")
+            spine.append((epp.Send, port, e))
+        elif p.at_word("recv"):
+            p.next()
+            port = _port(p, proc)
+            spine.append((epp.Recv, port, p.ident("variable")))
+        elif p.at_word("sel"):
+            p.next()
+            port = _port(p, proc)
+            p.eat_sym("[")
+            spine.append((epp.SelSend, port, p.ident("label")))
+            p.eat_sym("]")
+        else:
+            break
+        p.eat_sym(";")
+    b = _behaviour_tail(p, proc)
+    for action, port, arg in reversed(spine):
+        b = action(port, arg, b)
+    return b
+
+
+def _behaviour_tail(p: _Parser, proc: str) -> "epp.Behaviour":
+    """What ends an action spine: 0, a branch, a conditional, a def or a
+    call."""
     t = p.peek()
     if t.kind == "number" and t.text == "0":
         p.next()
         return epp.BEND
-    if p.at_word("send"):
-        p.next()
-        port = _port(p, proc)
-        p.eat_sym("<")
-        e = p.expr()
-        p.eat_sym(">")
-        p.eat_sym(";")
-        return epp.Send(port, e, _behaviour(p, proc))
-    if p.at_word("recv"):
-        p.next()
-        port = _port(p, proc)
-        var = p.ident("variable")
-        p.eat_sym(";")
-        return epp.Recv(port, var, _behaviour(p, proc))
-    if p.at_word("sel"):
-        p.next()
-        port = _port(p, proc)
-        p.eat_sym("[")
-        label = p.ident("label")
-        p.eat_sym("]")
-        p.eat_sym(";")
-        return epp.SelSend(port, label, _behaviour(p, proc))
     if p.at_word("branch"):
         p.next()
         port = _port(p, proc)
@@ -763,8 +781,6 @@ _PREC = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "+": 5, "-": 5}
 
 
 def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
-    from .core import UnOp
-
     if isinstance(e, Const):
         return format_value(e.value)
     if isinstance(e, Var):
@@ -821,32 +837,34 @@ def pretty_eta_set(etas: frozenset[Interaction]) -> str:
 
 
 def pretty_chor(c, indent: int = 0) -> str:
-    from .core import Call as CoreCall, Cond as CoreCond, Def as CoreDef, End as CoreEnd, Prefix as CorePrefix
-
+    """Print a choreography, its prefix spine in a loop."""
     pad = "  " * indent
-    if isinstance(c, CoreEnd):
-        return f"{pad}0"
-    if isinstance(c, CoreCall):
-        return f"{pad}{c.name}"
-    if isinstance(c, CorePrefix):
-        head = f"{pad}{pretty_eta_set(c.etas)} thru {c.connector};"
-        return head + "\n" + pretty_chor(c.cont, indent)
-    if isinstance(c, CoreCond):
-        return (
+    lines = []
+    while isinstance(c, Prefix):
+        lines.append(f"{pad}{pretty_eta_set(c.etas)} thru {c.connector};")
+        c = c.cont
+    if isinstance(c, End):
+        lines.append(f"{pad}0")
+    elif isinstance(c, Call):
+        lines.append(f"{pad}{c.name}")
+    elif isinstance(c, Cond):
+        lines.append(
             f"{pad}if {c.process}.{pretty_expr(c.guard)} then {{\n"
             + pretty_chor(c.then_branch, indent + 1)
             + f"\n{pad}}} else {{\n"
             + pretty_chor(c.else_branch, indent + 1)
             + f"\n{pad}}}"
         )
-    assert isinstance(c, CoreDef)
-    return (
-        f"{pad}def {c.name} = {{\n"
-        + pretty_chor(c.body, indent + 1)
-        + f"\n{pad}}} in {{\n"
-        + pretty_chor(c.cont, indent + 1)
-        + f"\n{pad}}}"
-    )
+    else:
+        assert isinstance(c, Def)
+        lines.append(
+            f"{pad}def {c.name} = {{\n"
+            + pretty_chor(c.body, indent + 1)
+            + f"\n{pad}}} in {{\n"
+            + pretty_chor(c.cont, indent + 1)
+            + f"\n{pad}}}"
+        )
+    return "\n".join(lines)
 
 
 def pretty_constraint(phi: Constraint) -> str:
@@ -893,41 +911,46 @@ def pretty_program(prog: Program) -> str:
 
 
 def pretty_behaviour(b: "epp.Behaviour", indent: int = 0) -> str:
+    """Print a behaviour, its action spine in a loop."""
     pad = "  " * indent
+    lines = []
+    while isinstance(b, (epp.Send, epp.Recv, epp.SelSend)):
+        if isinstance(b, epp.Send):
+            lines.append(f"{pad}send {b.port.local()} <{pretty_expr(b.expr)}>;")
+        elif isinstance(b, epp.Recv):
+            lines.append(f"{pad}recv {b.port.local()} {b.var};")
+        else:
+            lines.append(f"{pad}sel {b.port.local()} [{b.label}];")
+        b = b.cont
     if isinstance(b, epp.BEnd):
-        return f"{pad}0"
-    if isinstance(b, epp.BCall):
-        return f"{pad}{b.name}"
-    if isinstance(b, epp.Send):
-        return f"{pad}send {b.port.local()} <{pretty_expr(b.expr)}>;\n" + pretty_behaviour(b.cont, indent)
-    if isinstance(b, epp.Recv):
-        return f"{pad}recv {b.port.local()} {b.var};\n" + pretty_behaviour(b.cont, indent)
-    if isinstance(b, epp.SelSend):
-        return f"{pad}sel {b.port.local()} [{b.label}];\n" + pretty_behaviour(b.cont, indent)
-    if isinstance(b, epp.Branch):
-        lines = [f"{pad}branch {b.port.local()} {{"]
+        lines.append(f"{pad}0")
+    elif isinstance(b, epp.BCall):
+        lines.append(f"{pad}{b.name}")
+    elif isinstance(b, epp.Branch):
+        lines.append(f"{pad}branch {b.port.local()} {{")
         for label, cont in b.cases:
             lines.append(f"{pad}  {label}: {{")
             lines.append(pretty_behaviour(cont, indent + 2))
             lines.append(f"{pad}  }}")
         lines.append(f"{pad}}}")
-        return "\n".join(lines)
-    if isinstance(b, epp.BCond):
-        return (
+    elif isinstance(b, epp.BCond):
+        lines.append(
             f"{pad}if {pretty_expr(b.guard)} then {{\n"
             + pretty_behaviour(b.then_branch, indent + 1)
             + f"\n{pad}}} else {{\n"
             + pretty_behaviour(b.else_branch, indent + 1)
             + f"\n{pad}}}"
         )
-    assert isinstance(b, epp.BDef)
-    return (
-        f"{pad}def {b.name} = {{\n"
-        + pretty_behaviour(b.body, indent + 1)
-        + f"\n{pad}}} in {{\n"
-        + pretty_behaviour(b.cont, indent + 1)
-        + f"\n{pad}}}"
-    )
+    else:
+        assert isinstance(b, epp.BDef)
+        lines.append(
+            f"{pad}def {b.name} = {{\n"
+            + pretty_behaviour(b.body, indent + 1)
+            + f"\n{pad}}} in {{\n"
+            + pretty_behaviour(b.cont, indent + 1)
+            + f"\n{pad}}}"
+        )
+    return "\n".join(lines)
 
 
 def pretty_cp(prog: "cp_engine.CpProgram") -> str:

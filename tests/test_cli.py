@@ -7,7 +7,7 @@ import pytest
 
 from choreo import cli
 
-from conftest import FIXTURES, fixture_text, ring_chain
+from conftest import FIXTURES, fixture_text
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -145,9 +145,16 @@ def test_trace_lines_have_the_documented_shape(capsys) -> None:
 
 
 def test_run_too_deeply_nested_is_an_input_error(tmp_path: Path, capsys) -> None:
-    # the parser recurses once per prefix
+    # the parser recurses once per nested conditional
     deep = tmp_path / "deep.cr"
-    deep.write_text(ring_chain(1200)[0])
+    depth = 1200
+    deep.write_text(
+        "connectors {\n}\n\ninit {\n  a.x = true;\n}\n\nmain {\n"
+        + "if a.x then {\n" * depth
+        + "0\n"
+        + "} else {\n0\n}\n" * depth
+        + "}\n"
+    )
     code, out, err = _run(capsys, "run", str(deep))
     assert code == 2
     assert out == ""

@@ -14,20 +14,7 @@ from choreo.core import (
     ValCom,
     Var,
 )
-from choreo.harness import (
-    alternator,
-    buffer1,
-    buffer2,
-    chain4,
-    exhaustive_explore,
-    indep2,
-    relay2,
-    rendezvous,
-    spread2,
-    spread3,
-    sync,
-    twosinks,
-)
+from choreo.harness import exhaustive_explore, load_automaton
 
 from conftest import load_expect, load_program
 
@@ -85,7 +72,7 @@ def test_procedure_checked_once_at_first_call_state() -> None:
     c = Def("X", Prefix(etas, "g", Call("X")), Call("X"))
     from choreo.core import instantiate
 
-    g = {"g": instantiate(buffer1(), {"p1": "p", "p2": "q"}, name="g")}
+    g = {"g": instantiate(load_automaton("buffer1.ca"), {"p1": "p", "p2": "q"}, name="g")}
     verdict = compat.check_compatibility(c, g)
     assert not verdict.compatible
     assert "re-entered" in verdict.reason
@@ -100,8 +87,8 @@ def test_modular_restriction_ignores_unrelated_connectors() -> None:
     # itself only ever touches g
     c = Prefix(other, "h", Def("X", Prefix(etas, "g", Call("X")), Call("X")))
     g = {
-        "g": instantiate(sync(), {"p1": "p", "p2": "q"}, name="g"),
-        "h": instantiate(buffer1(), {"p1": "r", "p2": "s"}, name="h"),
+        "g": instantiate(load_automaton("sync.ca"), {"p1": "p", "p2": "q"}, name="g"),
+        "h": instantiate(load_automaton("buffer1.ca"), {"p1": "r", "p2": "s"}, name="h"),
     }
     assert compat.check_compatibility(c, g, modular=True).compatible
     assert compat.check_compatibility(c, g, modular=False).compatible
@@ -133,23 +120,23 @@ def test_termination_metric_assert_is_live(monkeypatch) -> None:
 
 
 CONFLUENCE = [
-    (sync, True),
-    (buffer1, True),
-    (buffer2, False),
-    (spread2, True),
-    (spread3, True),
-    (rendezvous, True),
-    (alternator, True),
-    (indep2, True),
-    (relay2, True),
-    (chain4, True),
-    (twosinks, False),
+    ("sync", True),
+    ("buffer1", True),
+    ("buffer2", False),
+    ("spread2", True),
+    ("spread3", True),
+    ("rendezvous", True),
+    ("alternator", True),
+    ("indep2", True),
+    ("relay2", True),
+    ("chain4", True),
+    ("twosinks", False),
 ]
 
 
-@pytest.mark.parametrize("builder,expected", CONFLUENCE, ids=lambda x: getattr(x, "__name__", str(x)))
-def test_confluence_verdicts(builder, expected) -> None:
-    v = compat.check_confluence(builder())
+@pytest.mark.parametrize("name,expected", CONFLUENCE)
+def test_confluence_verdicts(name, expected) -> None:
+    v = compat.check_confluence(load_automaton(f"{name}.ca"))
     assert v.confluent == expected
     assert bool(v) == expected
     if not expected:
@@ -158,7 +145,7 @@ def test_confluence_verdicts(builder, expected) -> None:
 
 
 def test_buffer2_confluence_witness_names_the_fork() -> None:
-    v = compat.check_confluence(buffer2())
+    v = compat.check_confluence(load_automaton("buffer2.ca"))
     t1, t2 = v.witness
     assert {t1.dst, t2.dst} == {"1", "3"}
 

@@ -33,7 +33,7 @@ from choreo.core import (
     validate_automaton,
     validate_interaction_set,
 )
-from choreo.harness import buffer1, rendezvous
+from choreo.harness import load_automaton
 
 
 def test_label_never_equals_string() -> None:
@@ -118,8 +118,8 @@ def test_sorted_etas_is_deterministic() -> None:
 
 
 def test_validate_automaton_accepts_the_builders() -> None:
-    assert validate_automaton(buffer1()) == []
-    assert validate_automaton(rendezvous()) == []
+    assert validate_automaton(load_automaton("buffer1.ca")) == []
+    assert validate_automaton(load_automaton("rendezvous.ca")) == []
 
 
 def _tiny(transitions) -> ConstraintAutomaton:
@@ -181,7 +181,7 @@ def test_validate_automaton_empty_constraint() -> None:
 
 
 def test_instantiate_renames_ports_everywhere() -> None:
-    b = buffer1()
+    b = load_automaton("buffer1.ca")
     inst = instantiate(b, {"p1": "a", "p2": "c"}, name="a2c")
     assert inst.ports == ("a", "c")
     srcs = {
@@ -196,7 +196,7 @@ def test_instantiate_renames_ports_everywhere() -> None:
 
 
 def test_instantiate_requires_a_bijection() -> None:
-    b = buffer1()
+    b = load_automaton("buffer1.ca")
     with pytest.raises(InputError):
         instantiate(b, {"p1": "a"})
     with pytest.raises(InputError):

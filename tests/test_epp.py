@@ -26,7 +26,7 @@ from choreo.epp import (
     project_behaviour,
     project_connectors,
 )
-from choreo.harness import buffer1, gen_random_program
+from choreo.harness import gen_random_program, load_automaton
 
 from conftest import load_program
 
@@ -165,7 +165,7 @@ def test_project_network_slices_the_store() -> None:
 def test_project_connectors_renames_and_directs() -> None:
     from choreo.core import instantiate
 
-    g = {"a2c": instantiate(buffer1(), {"p1": "a", "p2": "c"}, name="a2c")}
+    g = {"a2c": instantiate(load_automaton("buffer1.ca"), {"p1": "a", "p2": "c"}, name="a2c")}
     out = project_connectors(g)
     assert out["a2c"].ports == ("o_a_a2c", "i_c_a2c")
     for t in out["a2c"].transitions:
@@ -178,10 +178,10 @@ def test_project_connectors_renames_and_directs() -> None:
 def test_project_connectors_rejects_underscores() -> None:
     from choreo.core import instantiate
 
-    inst = instantiate(buffer1(), {"p1": "a", "p2": "c"}, name="a2c")
+    inst = instantiate(load_automaton("buffer1.ca"), {"p1": "a", "p2": "c"}, name="a2c")
     with pytest.raises(InputError):
         project_connectors({"a_2c": inst})
-    bad = instantiate(buffer1(), {"p1": "a_x", "p2": "c"}, name="g")
+    bad = instantiate(load_automaton("buffer1.ca"), {"p1": "a_x", "p2": "c"}, name="g")
     with pytest.raises(InputError):
         project_connectors({"g": bad})
 

@@ -21,7 +21,6 @@ from choreo.core import (
 )
 from choreo.harness import (
     bad_alternator,
-    buffer1,
     correspondence_check,
     crossed_chain4,
     drop_transition,
@@ -29,10 +28,9 @@ from choreo.harness import (
     gen_random_program,
     oracle_by_label,
     oracle_eta_reductions,
-    rendezvous,
+    load_automaton,
     swap_ports,
     swapped_rendezvous,
-    sync,
 )
 
 from conftest import load_program
@@ -87,8 +85,15 @@ def test_oracle_label_bound_is_a_pure_restriction() -> None:
         assert bounded[lbl] == full[lbl]
 
 
+def test_every_automaton_fixture_parses_and_validates() -> None:
+    names = harness.list_fixtures(".ca")
+    assert "sync.ca" in names and "bufferspread2.ca" in names
+    for name in names:
+        assert validate_automaton(load_automaton(name)) == [], name
+
+
 def test_mutators_change_exactly_what_they_say() -> None:
-    r = rendezvous()
+    r = load_automaton("rendezvous.ca")
     s = swapped_rendezvous()
     assert validate_automaton(s) == []
     assert s.ports == r.ports
@@ -97,7 +102,7 @@ def test_mutators_change_exactly_what_they_say() -> None:
     assert validate_automaton(b) == []
     c = crossed_chain4()
     assert validate_automaton(c) == []
-    d = drop_transition(buffer1(), 1)
+    d = drop_transition(load_automaton("buffer1.ca"), 1)
     assert len(d.transitions) == 1
 
 

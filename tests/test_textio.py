@@ -19,7 +19,7 @@ from choreo.core import (
 )
 from choreo.textio import ParseError
 
-from conftest import FIXTURES, fixture_text, load_program
+from conftest import FIXTURES, fixture_text, load_program, ring_chain
 
 CA_NAMES = sorted(p.name for p in FIXTURES.glob("*.ca"))
 CR_NAMES = sorted(p.name for p in FIXTURES.glob("*.cr"))
@@ -48,6 +48,31 @@ def test_cp_round_trip() -> None:
     assert again.automata == cp.automata
     assert again.init.net == cp.init.net
     assert again.init.astate == cp.init.astate
+
+
+def test_long_chain_parses_and_prints_without_recursion() -> None:
+    # the parser and the printer walk the prefix spine in loops
+    prog = textio.parse_program(ring_chain(2000)[0])
+    c, prefixes = prog.main, 0
+    while isinstance(c, Prefix):
+        c, prefixes = c.cont, prefixes + 1
+    assert prefixes == 2000
+    assert textio.parse_program(textio.pretty_program(prog)).main == prog.main
+
+
+def test_long_cp_process_round_trips() -> None:
+    n = 2000
+    text = (
+        "automaton g {\n  states 1;\n  ports o_a_g, i_b_g;\n  init 1;\n"
+        "  1 -> 1 on o_a_g > i_b_g;\n}\n\ninit {\n  a.x = 1;\n}\n\nnetwork {\n"
+        "  a {\n" + "    send o_g <x + 1>;\n" * n + "    0\n  }\n"
+        "  b {\n" + "    recv i_g y;\n" * n + "    0\n  }\n}\n"
+    )
+    cp = textio.parse_cp(text)
+    assert textio.pretty_cp(cp) == text
+    again = textio.parse_cp(textio.pretty_cp(cp))
+    assert again.init.net == cp.init.net
+    assert again.automata == cp.automata
 
 
 PROLOGUE = """
