@@ -128,14 +128,15 @@ Verdict = Union[CompatYes, CompatNo]
 
 
 def size(c) -> int:
-    if isinstance(c, Prefix):
-        total = sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in c.etas)
-        return total + size(c.cont)
+    total = 1  # the End, Call, Cond or Def below the prefixes
+    while isinstance(c, Prefix):  # a loop: a long chain must not exhaust the stack
+        total += sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in c.etas)
+        c = c.cont
     if isinstance(c, Cond):
-        return 1 + size(c.then_branch) + size(c.else_branch)
+        return total + size(c.then_branch) + size(c.else_branch)
     if isinstance(c, Def):
-        return 1 + size(c.body) + size(c.cont)
-    return 1  # End, Call
+        return total + size(c.body) + size(c.cont)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +145,10 @@ def size(c) -> int:
 
 def _calls_in(c, name: str) -> int:
     """Occurrences of Call(name) in c, not counting any under a rebinding."""
+    while isinstance(c, Prefix):
+        c = c.cont
     if isinstance(c, Call):
         return 1 if c.name == name else 0
-    if isinstance(c, Prefix):
-        return _calls_in(c.cont, name)
     if isinstance(c, Cond):
         return _calls_in(c.then_branch, name) + _calls_in(c.else_branch, name)
     if isinstance(c, Def):
@@ -158,6 +159,8 @@ def _calls_in(c, name: str) -> int:
 
 
 def _check_defs_called(c) -> None:
+    while isinstance(c, Prefix):
+        c = c.cont
     if isinstance(c, Def):
         if _calls_in(c.cont, c.name) == 0:
             raise InputError(
@@ -165,18 +168,16 @@ def _check_defs_called(c) -> None:
             )
         _check_defs_called(c.body)
         _check_defs_called(c.cont)
-    elif isinstance(c, Prefix):
-        _check_defs_called(c.cont)
     elif isinstance(c, Cond):
         _check_defs_called(c.then_branch)
         _check_defs_called(c.else_branch)
 
 
 def _called_names(c, bound: frozenset = frozenset()) -> set[str]:
+    while isinstance(c, Prefix):
+        c = c.cont
     if isinstance(c, Call):
         return set() if c.name in bound else {c.name}
-    if isinstance(c, Prefix):
-        return _called_names(c.cont, bound)
     if isinstance(c, Cond):
         return _called_names(c.then_branch, bound) | _called_names(c.else_branch, bound)
     if isinstance(c, Def):
@@ -258,7 +259,7 @@ def check_compatibility(
     worklist: list[Judgement] = [root]
     checked = 0
     while worklist:
-        j = worklist.pop(0)
+        j = worklist.pop()
         checked += 1
         ch = j.chor
         if isinstance(ch, End):
@@ -271,7 +272,7 @@ def check_compatibility(
             ]
             for p in pushes:
                 assert size(p.chor) < budget
-            worklist[0:0] = pushes
+            worklist.extend(reversed(pushes))
             continue
         if isinstance(ch, Def):
             var = StateVar(
@@ -288,7 +289,7 @@ def check_compatibility(
             ]
             for p in pushes:
                 assert size(p.chor) < budget
-            worklist[0:0] = pushes
+            worklist.extend(reversed(pushes))
             continue
         if isinstance(ch, Call):
             var = None
@@ -339,7 +340,7 @@ def check_compatibility(
             return CompatNo(
                 j, "no connector transition can serve any head interaction set", tried
             )
-        worklist[0:0] = successes
+        worklist.extend(reversed(successes))
     return CompatYes(checked)
 
 

@@ -506,18 +506,6 @@ def check_closed(c: Choreography, bound: frozenset[str] = frozenset()) -> list[s
     return []
 
 
-def chor_key(c: Choreography) -> tuple:
-    if isinstance(c, End):
-        return ("0",)
-    if isinstance(c, Call):
-        return ("x", c.name)
-    if isinstance(c, Prefix):
-        return ("p", c.connector, tuple(eta_key(e) for e in sorted_etas(c.etas)), chor_key(c.cont))
-    if isinstance(c, Cond):
-        return ("c", c.process, expr_key(c.guard), chor_key(c.then_branch), chor_key(c.else_branch))
-    return ("d", c.name, chor_key(c.body), chor_key(c.cont))
-
-
 # ---------------------------------------------------------------------------
 # Flow constraints and constraint automata
 

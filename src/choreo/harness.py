@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -65,7 +65,7 @@ from .cp_engine import (
     pruning_leq,
 )
 from .epp import project_connectors, project_network, projectable
-from .lts import Search, search
+from .lts import Search, Step, search
 from . import textio
 
 
@@ -362,116 +362,83 @@ def _project_cfg(cfg: Configuration) -> Network:
 def correspondence_check(
     program: "textio.Program", bound: int = 25, completion_depth: int = 3
 ) -> CorrespondenceReport:
-    """Joint breadth-first check of the two semantics.
+    """Joint breadth-first check of the two semantics, as one search over
+    (choreography, network) configuration pairs from the paired initial ones.
 
-    Starting from the paired initial configurations, for every reachable pair:
-    each choreography reduction must be matched by one or more network
+    Every choreography reduction of a pair must be matched by network
     reductions whose endpoint lies above the projected successor (pruning
-    order, literal connector-state equality), and each network reduction must
-    be matched back by some choreography reduction the same way.
+    order, literal connector-state equality), and every network reduction
+    must be matched back by choreography reductions the same way.  Each match
+    gives a successor pair; each step without one is a gap.
     """
     g = program.connectors
     pg = project_connectors(g)
     c0 = initial_configuration(program)
     n0 = NetConfiguration.make(_project_cfg(c0), c0.astate_map())
     gaps: list[str] = []
-    seen = {(c0, n0)}
-    frontier: list[tuple[Configuration, NetConfiguration]] = [(c0, n0)]
     pairs = 0
-    for _ in range(bound):
-        nxt: list[tuple[Configuration, NetConfiguration]] = []
 
-        for cc, nc in frontier:
-            pairs += 1
-            crs = reductions(cc, g)
-            nrs = cp_reductions(nc, pg)
-            for cr in crs:
-                target_net = _project_cfg(cr.config)
-                target_astate = cr.config.astate
-                matches = [
-                    nr
-                    for nr in nrs
-                    if nr.config.astate == target_astate
-                    and pruning_leq(target_net, nr.config.net)
-                ]
-                if matches:
-                    pair = (cr.config, matches[0].config)
-                    if pair not in seen:
-                        seen.add(pair)
-                        nxt.append(pair)
-                    continue
-                completed = _complete(nc, pg, target_astate, target_net, completion_depth)
-                if completed is None:
-                    gaps.append(
-                        "completeness: no network match for choreography step "
-                        f"{_describe_step(cr)}"
-                    )
-                else:
-                    pair = (cr.config, completed)
-                    if pair not in seen:
-                        seen.add(pair)
-                        nxt.append(pair)
-            for nr in nrs:
-                back = [
-                    cr
-                    for cr in crs
-                    if cr.config.astate == nr.config.astate
-                    and pruning_leq(_project_cfg(cr.config), nr.config.net)
-                ]
-                if back:
-                    pair = (back[0].config, nr.config)
-                    if pair not in seen:
-                        seen.add(pair)
-                        nxt.append(pair)
-                    continue
-                caught = _chor_complete(
-                    cc, g, nr.config.astate, nr.config.net, completion_depth
+    def chor_steps(c: Configuration) -> list[Step]:
+        return reductions(c, g)
+
+    def net_steps(n: NetConfiguration) -> list[Step]:
+        return cp_reductions(n, pg)
+
+    def matched(start, steps: list[Step], successors, accept):
+        """The first one-step successor `accept` takes, else the first state
+        it takes within `completion_depth` steps, else None.  One step on one
+        side may need several on the other: commuting an interaction forward
+        can require resolving an earlier one first."""
+        for step in steps:
+            if accept(step.config):
+                return step.config
+        return search(start, successors, completion_depth, goal=accept).found
+
+    def pair_steps(pair: tuple[Configuration, NetConfiguration]) -> list[Step]:
+        nonlocal pairs
+        pairs += 1
+        cc, nc = pair
+        crs, nrs = chor_steps(cc), net_steps(nc)
+        projected = {cr.config: _project_cfg(cr.config) for cr in crs}
+
+        def project(c: Configuration) -> Network:
+            net = projected.get(c)
+            return _project_cfg(c) if net is None else net
+
+        out: list[Step] = []
+        for cr in crs:
+            net, astate = projected[cr.config], cr.config.astate
+            n = matched(
+                nc, nrs, net_steps, lambda n: n.astate == astate and pruning_leq(net, n.net)
+            )
+            if n is None:
+                gaps.append(
+                    f"completeness: no network match for choreography step {_describe_step(cr)}"
                 )
-                if caught is None:
-                    gaps.append(
-                        "soundness: no choreography match for network step "
-                        f"{_describe_step(nr)}"
-                    )
-                    continue
-                pair = (caught, nr.config)
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-        if not frontier:
-            break
-    return CorrespondenceReport(gaps, pairs, bool(frontier))
+            else:
+                out.append(replace(cr, config=(cr.config, n)))
+        for nr in nrs:
+            net, astate = nr.config.net, nr.config.astate
+            c = matched(
+                cc, crs, chor_steps, lambda c: c.astate == astate and pruning_leq(project(c), net)
+            )
+            if c is None:
+                gaps.append(
+                    f"soundness: no choreography match for network step {_describe_step(nr)}"
+                )
+            else:
+                out.append(replace(nr, config=(c, nr.config)))
+        return out
+
+    truncated = search((c0, n0), pair_steps, bound).truncated
+    return CorrespondenceReport(gaps, pairs, truncated)
 
 
-def _describe_step(r) -> str:
+def _describe_step(r: Step) -> str:
     if r.kind == "com":
-        from .textio import pretty_constraint
-
-        return f"{r.subject}: {pretty_constraint(r.phi)} ({r.pre_state} -> {r.post_state})"
+        phi = textio.pretty_constraint(r.phi)
+        return f"{r.subject}: {phi} ({r.pre_state} -> {r.post_state})"
     return f"{r.subject}: {r.branch} branch"
-
-
-def _complete(nc, pg, astate, net, depth) -> "NetConfiguration | None":
-    """A network configuration a few steps from nc that matches a
-    choreography step the network could not match in one."""
-    return search(
-        nc,
-        lambda n: cp_reductions(n, pg),
-        depth,
-        goal=lambda n: n.astate == astate and pruning_leq(net, n.net),
-    ).found
-
-
-def _chor_complete(cc, g, astate, net, depth) -> "Configuration | None":
-    """Several choreography steps may be needed to reach one network step,
-    because commuting an interaction forward can require resolving an earlier
-    one first.  Search a few levels deep for a matching configuration."""
-    return search(
-        cc,
-        lambda c: reductions(c, g),
-        depth,
-        goal=lambda c: c.astate == astate and pruning_leq(_project_cfg(c), net),
-    ).found
 
 
 # ---------------------------------------------------------------------------

@@ -86,35 +86,35 @@ class Search:
     found: object = None
 
 
-def _never(_state) -> bool:
-    return False
-
-
 def search(
     start,
     successors: Successors,
     depth: int,
-    terminated: Callable[[object], bool] = _never,
+    terminated: "Callable[[object], bool] | None" = None,
     goal: "Callable[[object], bool] | None" = None,
 ) -> Search:
     """Breadth-first closure of `successors` from `start`, `depth` levels
-    deep.  A terminated state and a state without steps (stuck) are recorded
-    and not expanded.
+    deep.  A state without steps is recorded as stuck and a state the
+    termination test accepts as terminated; neither is expanded.
+
+    With a termination test, the states at the last level are classified as
+    well: terminated, stuck, or, when they still have a step, as making the
+    search `truncated`.  Without one, `successors` is never called on the
+    last level, and `truncated` means that states were left there.
 
     With a goal, the search stops at the first newly reached state the goal
-    accepts and returns it as `found`.  Without one, the states left at the
-    last level are classified as well: terminated, stuck, or, when they still
-    have a step, as making the search `truncated`."""
+    accepts and returns it as `found`."""
     res = Search({start}, set(), set(), set(), False)
     nodes, edges = res.nodes, res.edges
     frontier = [start]
     for level in range(depth + 1):
         last = level == depth
-        if last and goal is not None:
+        if last and terminated is None:
+            res.truncated = True  # the frontier is never empty here
             break
         nxt = []
         for cur in frontier:
-            if terminated(cur):
+            if terminated is not None and terminated(cur):
                 res.terminated.add(cur)
                 continue
             steps = successors(cur)

@@ -7,7 +7,7 @@ import pytest
 
 from choreo import cli
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, ring_chain
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -159,3 +159,12 @@ def test_run_too_deeply_nested_is_an_input_error(tmp_path: Path, capsys) -> None
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_check_long_chain_from_a_file(tmp_path: Path, capsys) -> None:
+    # the precondition walks and the size metric loop along prefix spines
+    chain = tmp_path / "chain.cr"
+    chain.write_text(ring_chain(1200)[0])
+    code, out, err = _run(capsys, "check", str(chain))
+    assert (code, err) == (0, "")
+    assert out.startswith("compatible")

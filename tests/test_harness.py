@@ -158,6 +158,31 @@ def test_correspondence_reports_gaps_for_a_miswired_barrier() -> None:
     assert any("network step" in g or "no choreography" in g for g in report.gaps)
 
 
+# (pairs checked, gaps, truncated) at bounds 3 and 25
+CORRESPONDENCE = {
+    "booksale.cr": ((3, 0, True), (8, 0, False)),
+    "booksale_alternator.cr": ((3, 0, True), (10, 0, False)),
+    "booksale_resp1.cr": ((3, 0, True), (10, 0, False)),
+    "booksale_resp2.cr": ((3, 0, True), (7, 1, False)),
+    "booksale_resp3.cr": ((3, 0, True), (9, 1, False)),
+    "loop_barrier.cr": ((3, 0, True), (25, 0, True)),
+    "loop_oneway.cr": ((3, 0, True), (25, 0, True)),
+    "referee_multicast.cr": ((2, 0, False), (2, 0, False)),
+    "referee_sequence.cr": ((3, 0, False), (3, 0, False)),
+    "reorder.cr": ((8, 0, True), (12, 0, False)),
+}
+
+
+def test_correspondence_counts_are_pinned_on_every_fixture() -> None:
+    assert sorted(CORRESPONDENCE) == harness.list_fixtures(".cr")
+    for name, pinned in CORRESPONDENCE.items():
+        prog = load_program(name)
+        for bound, (pairs, gaps, truncated) in zip((3, 25), pinned):
+            report = correspondence_check(prog, bound=bound)
+            got = (report.pairs_checked, len(report.gaps), report.truncated)
+            assert got == (pairs, gaps, truncated), (name, bound)
+
+
 def test_advance_until_connector_stops_at_the_right_prefix() -> None:
     prog = load_program("booksale.cr")
     cfg = ce.initial_configuration(prog)

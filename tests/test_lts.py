@@ -1,0 +1,59 @@
+from __future__ import annotations
+
+from choreo.lts import Step, search
+
+
+def _graph(edges: dict[int, list[int]]):
+    """A successor function over the given graph that logs every state it
+    is called on."""
+    calls: list[int] = []
+
+    def successors(n: int) -> list[Step]:
+        calls.append(n)
+        return [Step("cond", "p", None, "then", None, None, m) for m in edges.get(n, [])]
+
+    return successors, calls
+
+
+def test_search_without_a_termination_test_never_expands_the_last_level() -> None:
+    successors, calls = _graph({n: [n + 1] for n in range(10)})
+    res = search(0, successors, 3)
+    assert calls == [0, 1, 2]
+    assert res.nodes == {0, 1, 2, 3}
+    assert res.truncated
+
+
+def test_search_without_a_termination_test_is_truncated_exactly_when_states_remain() -> None:
+    # 2 has no step, but at depth 2 it is left at the bound unexamined
+    edges = {0: [1], 1: [2]}
+    for depth, truncated in ((0, True), (1, True), (2, True), (3, False), (9, False)):
+        successors, calls = _graph(edges)
+        res = search(0, successors, depth)
+        assert res.truncated is truncated, depth
+        assert calls == [0, 1, 2][:depth]
+        assert res.stuck == ({2} if depth > 2 else set())
+
+
+def test_search_with_a_termination_test_classifies_the_last_level() -> None:
+    edges = {0: [1, 2], 1: [3]}
+    successors, calls = _graph(edges)
+    res = search(0, successors, 1, lambda n: n == 2)
+    assert calls == [0, 1]
+    assert res.terminated == {2}
+    assert res.stuck == set()
+    assert res.truncated
+    successors, calls = _graph(edges)
+    res = search(0, successors, 2, lambda n: n == 2)
+    assert calls == [0, 1, 3]
+    assert (res.terminated, res.stuck, res.truncated) == ({2}, {3}, False)
+
+
+def test_search_with_a_goal_returns_the_first_accepted_new_state() -> None:
+    edges = {0: [0, 1, 2], 1: [3], 2: [4]}
+    assert search(0, _graph(edges)[0], 5, goal=lambda n: n >= 3).found == 3
+    assert search(0, _graph(edges)[0], 5, goal=lambda n: n % 2 == 0).found == 2
+    # the start is not new, and a goal beyond the bound is not reached
+    assert search(0, _graph(edges)[0], 5, goal=lambda n: n == 0).found is None
+    successors, calls = _graph(edges)
+    assert search(0, successors, 1, goal=lambda n: n == 3).found is None
+    assert calls == [0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import choreo
@@ -20,3 +21,23 @@ def test_no_module_imports_another_modules_private_names() -> None:
                 ]
     assert len(SOURCES) > 1
     assert offences == []
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists() -> None:
+    # perfbench/tracer.py wraps (module, function name) pairs by name; read
+    # them from its source, without importing it
+    tracer = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), str(tracer))
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    missing = []
+    for entry in targets.elts:
+        module, function = entry.elts[0].id, entry.elts[1].value
+        if not callable(getattr(importlib.import_module(f"choreo.{module}"), function, None)):
+            missing.append(f"{module}.{function}")
+    assert len(targets.elts) > 1
+    assert missing == []
