@@ -10,6 +10,12 @@ stated size metric, which is asserted on every iteration; this is what makes
 the check terminate, and is also why transitions that consume no interaction
 (pure cell-to-cell moves) are skipped here: the runtime permits them, but
 following them would not shrink anything.
+
+A judgement is a procedure frame, a connector state and a choreography, and
+the worklist checks each distinct one once; the comment at its memo says why
+the verdict stays the same.  Connector states compare type-strictly there and
+at procedure re-entry: a cell holding 1 is not one holding true.  Transitions
+are rendered as text only for a negative verdict's report and path.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ class Judgement:
     astate: tuple  # frozen connector states
     chor: object
     parent: "Judgement | None"
-    via: str
+    via: "str | tuple"  # a label, or the (connector, etas, transition, state) fired
 
     def astate_map(self) -> dict[str, tuple[str, dict[str, Value]]]:
         return {g: (s, dict(cells)) for g, (s, cells) in self.astate}
@@ -95,7 +101,7 @@ class Judgement:
         steps: list[str] = []
         j: "Judgement | None" = self
         while j is not None:
-            steps.append(j.via)
+            steps.append(j.via if isinstance(j.via, str) else _describe(*j.via))
             j = j.parent
         return list(reversed(steps))
 
@@ -218,7 +224,7 @@ def _canon_astate(astate: tuple, relevant: "frozenset[str] | None") -> tuple:
             if v not in renaming:
                 renaming[v] = len(renaming)
             return ("tok", renaming[v])
-        return v
+        return (type(v), v)  # type-strict: a cell holding 1 is not one holding true
 
     out = []
     for g, (s, cells) in astate:
@@ -230,6 +236,13 @@ def _canon_astate(astate: tuple, relevant: "frozenset[str] | None") -> tuple:
 
 # ---------------------------------------------------------------------------
 # The worklist
+
+
+def _types(astate: tuple) -> tuple:
+    """The type of every cell value of a frozen connector state, in order: two
+    states are the same only if they are equal and these are too, so a cell
+    holding 1 differs from one holding true."""
+    return tuple(type(v) for _g, (_s, cells) in astate for _m, v in cells)
 
 
 def check_compatibility(
@@ -255,51 +268,43 @@ def check_compatibility(
     if a0 is None:
         a0 = {name: (a.init_state, a.init_mem_map()) for name, a in g.items()}
     tokens = TokenSource()
-    root = Judgement((), freeze_astate(a0), c, None, "start")
-    worklist: list[Judgement] = [root]
+    root = freeze_astate(a0)
+    # An entry is (key, parent judgement, via); the key is the judgement
+    # itself: procedure frame, connector state, the types of its cells and
+    # choreography.  A judgement whose key was checked before is skipped.
+    # This is exact.  Every successor is strictly smaller (asserted below), so
+    # no key recurs in its own subtree, and the stack finishes a key's whole
+    # subtree, without failure, before any duplicate of it is popped.  The
+    # duplicate's subtree would check the same judgements up to a renaming of
+    # the tokens minted in it, against StateVar values the first subtree has
+    # already fixed, and re-entry compares token-renamed states.  So verdicts,
+    # failing judgements, attempts and paths stay what they were without the
+    # memo, and only the count of judgements falls; the one trace of a skip is
+    # that tokens minted after it are numbered lower.  The frame holds the
+    # StateVar objects themselves, never their ids, which a freed one can hand
+    # on.
+    worklist: list[tuple] = [(((), root, _types(root), c), None, "start")]
+    visited: set[tuple] = set()
     checked = 0
     while worklist:
-        j = worklist.pop()
+        key, parent, via = worklist.pop()
+        if key in visited:
+            continue
+        visited.add(key)
+        gamma, astate, _, ch = key
+        j = Judgement(gamma, astate, ch, parent, via)
         checked += 1
-        ch = j.chor
         if isinstance(ch, End):
-            continue
-        if isinstance(ch, Cond):
-            budget = size(ch)
-            pushes = [
-                Judgement(j.gamma, j.astate, normalize(ch.then_branch), j, f"{ch.process}: then branch"),
-                Judgement(j.gamma, j.astate, normalize(ch.else_branch), j, f"{ch.process}: else branch"),
-            ]
-            for p in pushes:
-                assert size(p.chor) < budget
-            worklist.extend(reversed(pushes))
-            continue
-        if isinstance(ch, Def):
-            var = StateVar(
-                _relevant_connectors(ch.body, j.gamma + ((ch.name, StateVar()),))
-                if modular
-                else None
-            )
-            var.body = ch.body
-            gamma2 = j.gamma + ((ch.name, var),)
-            budget = size(ch)
-            pushes = [
-                Judgement(gamma2, j.astate, normalize(ch.cont), j, f"after def {ch.name}"),
-                Judgement(gamma2, j.astate, normalize(ch.body), j, f"body of {ch.name}"),
-            ]
-            for p in pushes:
-                assert size(p.chor) < budget
-            worklist.extend(reversed(pushes))
             continue
         if isinstance(ch, Call):
             var = None
-            for name, v in reversed(j.gamma):
+            for name, v in reversed(gamma):
                 if name == ch.name:
                     var = v
                     break
             if var is None:
                 raise InputError(f"call of undefined procedure {ch.name}")
-            current = _canon_astate(j.astate, var.relevant)
+            current = _canon_astate(astate, var.relevant)
             if var.value is None:
                 var.value = current
             elif var.value != current:
@@ -309,47 +314,74 @@ def check_compatibility(
                     [],
                 )
             continue
-        assert isinstance(ch, Prefix)
         budget = size(ch)
-        astate = j.astate_map()
-        successes: list[Judgement] = []
-        seen_push: set = set()
-        tried: list[str] = []
-        for ex in exposures(ch, {}, frozenset(), False)[0]:
-            state, mu = astate[ex.connector]
-            for t in g[ex.connector].outgoing(state):
-                if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
-                    continue  # consumes nothing; see module docstring
-                m = abstract_match(ex.etas, t.phi, mu, tokens)
-                desc = _describe(ex, t, state)
-                tried.append(desc + (": ok" if m else ": no match"))
-                if m is None:
-                    continue
-                residual, mu2 = m
-                succ_chor = normalize(ex.rebuild(residual))
-                assert size(succ_chor) < budget
-                astate2 = dict(astate)
-                astate2[ex.connector] = (t.dst, mu2)
-                succ = Judgement(j.gamma, freeze_astate(astate2), succ_chor, j, desc)
-                key = (succ.astate, succ.chor)
-                if key in seen_push:
-                    continue
-                seen_push.add(key)
-                successes.append(succ)
-        if not successes:
-            return CompatNo(
-                j, "no connector transition can serve any head interaction set", tried
+        if isinstance(ch, Cond):
+            succs = [
+                (gamma, astate, normalize(ch.then_branch), f"{ch.process}: then branch"),
+                (gamma, astate, normalize(ch.else_branch), f"{ch.process}: else branch"),
+            ]
+        elif isinstance(ch, Def):
+            var = StateVar(
+                _relevant_connectors(ch.body, gamma + ((ch.name, StateVar()),))
+                if modular
+                else None
             )
-        worklist.extend(reversed(successes))
+            var.body = ch.body
+            gamma2 = gamma + ((ch.name, var),)
+            succs = [
+                (gamma2, astate, normalize(ch.cont), f"after def {ch.name}"),
+                (gamma2, astate, normalize(ch.body), f"body of {ch.name}"),
+            ]
+        else:
+            assert isinstance(ch, Prefix)
+            succs, tried = _prefix_successors(j, g, tokens)
+            if not succs:
+                return CompatNo(
+                    j,
+                    "no connector transition can serve any head interaction set",
+                    [_describe(*attempt) + ": no match" for attempt in tried],
+                )
+        pushes = []
+        for gamma2, astate2, chor2, via2 in succs:
+            assert size(chor2) < budget
+            key2 = (gamma2, astate2, _types(astate2), chor2)
+            if key2 not in visited:
+                pushes.append((key2, j, via2))
+        worklist.extend(reversed(pushes))
     return CompatYes(checked)
 
 
-def _describe(ex, t: Transition, state: str) -> str:
+def _prefix_successors(j: Judgement, g: ConnectorMapping, tokens: TokenSource):
+    """The (gamma, astate, chor, via) successors of a prefix judgement, one for
+    every connector transition that serves a head interaction set, and every
+    attempt as (connector, etas, transition, state).  A successor's `via` is
+    its attempt, rendered only when a path is read."""
+    astate = j.astate_map()
+    succs: list[tuple] = []
+    tried: list[tuple] = []
+    for ex in exposures(j.chor, {}, frozenset(), False)[0]:
+        state, mu = astate[ex.connector]
+        for t in g[ex.connector].outgoing(state):
+            if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
+                continue  # consumes nothing; see module docstring
+            m = abstract_match(ex.etas, t.phi, mu, tokens)
+            attempt = (ex.connector, ex.etas, t, state)
+            tried.append(attempt)
+            if m is None:
+                continue
+            residual, mu2 = m
+            astate2 = dict(astate)
+            astate2[ex.connector] = (t.dst, mu2)
+            succs.append((j.gamma, freeze_astate(astate2), normalize(ex.rebuild(residual)), attempt))
+    return succs, tried
+
+
+def _describe(connector: str, etas, t: Transition, state: str) -> str:
     from .textio import pretty_constraint, pretty_eta_set
 
     return (
-        f"{ex.connector} {state}->{t.dst} on {pretty_constraint(t.phi)}"
-        f" vs {pretty_eta_set(ex.etas)}"
+        f"{connector} {state}->{t.dst} on {pretty_constraint(t.phi)}"
+        f" vs {pretty_eta_set(etas)}"
     )
 
 

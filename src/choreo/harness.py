@@ -401,16 +401,23 @@ def correspondence_check(
         crs, nrs = chor_steps(cc), net_steps(nc)
         projected = {cr.config: _project_cfg(cr.config) for cr in crs}
 
-        def project(c: Configuration) -> Network:
-            net = projected.get(c)
-            return _project_cfg(c) if net is None else net
+        verdicts: dict[tuple[Configuration, NetConfiguration], bool] = {}
+
+        def above(c: Configuration, n: NetConfiguration) -> bool:
+            """Whether n lies above c's projection.  Both directions test the
+            same one-step pairs, so each pair's verdict is worked out once."""
+            if c.astate != n.astate:
+                return False
+            v = verdicts.get((c, n))
+            if v is None:
+                net = projected.get(c)
+                v = pruning_leq(_project_cfg(c) if net is None else net, n.net)
+                verdicts[(c, n)] = v
+            return v
 
         out: list[Step] = []
         for cr in crs:
-            net, astate = projected[cr.config], cr.config.astate
-            n = matched(
-                nc, nrs, net_steps, lambda n: n.astate == astate and pruning_leq(net, n.net)
-            )
+            n = matched(nc, nrs, net_steps, lambda n: above(cr.config, n))
             if n is None:
                 gaps.append(
                     f"completeness: no network match for choreography step {_describe_step(cr)}"
@@ -418,10 +425,7 @@ def correspondence_check(
             else:
                 out.append(replace(cr, config=(cr.config, n)))
         for nr in nrs:
-            net, astate = nr.config.net, nr.config.astate
-            c = matched(
-                cc, crs, chor_steps, lambda c: c.astate == astate and pruning_leq(project(c), net)
-            )
+            c = matched(cc, crs, chor_steps, lambda c: above(c, nr.config))
             if c is None:
                 gaps.append(
                     f"soundness: no choreography match for network step {_describe_step(nr)}"

@@ -82,3 +82,15 @@ def ring_chain(n: int, seed: int = 0) -> tuple[str, int, dict, dict]:
         f"main {{\n{''.join(lines)}  0\n}}\n"
     )
     return text, steps, store, exits
+
+
+def parallel_pairs(k: int, kind: str) -> str:
+    """k independent interactions s<i>.x -> r<i>.y, each through its own
+    connector of one kind, `Sync` or `Buffer1`."""
+    bindings = "".join(f"  c{i}: {kind}[s{i}/p1, r{i}/p2];\n" for i in range(k))
+    init = "".join(f"  s{i}.x = {i};\n" for i in range(k))
+    lines = "".join(f"  s{i}.x -> r{i}.y thru c{i};\n" for i in range(k))
+    return (
+        f"{RING_AUTOMATA}\nconnectors {{\n{bindings}}}\n\ninit {{\n{init}}}\n\n"
+        f"main {{\n{lines}  0\n}}\n"
+    )

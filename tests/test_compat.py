@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from choreo import chor_engine as ce
-from choreo import compat
+from choreo import compat, textio
 from choreo.core import (
     Call,
     Def,
@@ -16,7 +18,7 @@ from choreo.core import (
 )
 from choreo.harness import exhaustive_explore, load_automaton
 
-from conftest import load_expect, load_program
+from conftest import load_expect, load_program, parallel_pairs
 
 VERDICTS = [
     ("booksale.cr", True, None, None),
@@ -76,6 +78,109 @@ def test_procedure_checked_once_at_first_call_state() -> None:
     verdict = compat.check_compatibility(c, g)
     assert not verdict.compatible
     assert "re-entered" in verdict.reason
+
+
+# Each procedure is entered first with cell n holding true and re-entered
+# with n holding 1.  In COPY the body's one transition copies m into n.  In
+# PICK two transitions copy k or m into n, so the two orders of the body's
+# interactions reach the same judgement but for the type of n in it.
+COPY = """automaton Copy {
+  states 1;
+  ports p1, p2;
+  mems m, n;
+  init 1 { m = 1, n = true };
+  1 -> 1 on p1 > p2 & m > n;
+}
+
+connectors {
+  g: Copy[a/p1, b/p2];
+}
+
+init {
+  a.x = 1;
+}
+
+main {
+  def X = { a.x -> b.y thru g; X } in { X }
+}
+"""
+
+PICK = """automaton Pick {
+  states 1;
+  ports p1, p2, p3, p4;
+  mems m, k, n;
+  init 1 { m = 1, k = true, n = true };
+  1 -> 1 on p1 > p2 & m > n;
+  1 -> 1 on p3 > p4 & k > n;
+}
+
+connectors {
+  g: Pick[a/p1, b/p2, c/p3, d/p4];
+}
+
+init {
+  a.x = 1;
+  c.x = 1;
+}
+
+main {
+  def X = { a.x -> b.y thru g; c.x -> d.y thru g; X } in { X }
+}
+"""
+
+
+@pytest.mark.parametrize("modular", [False, True])
+@pytest.mark.parametrize("text", [COPY, PICK], ids=["copy", "pick"])
+def test_procedure_state_comparison_is_type_strict(text, modular) -> None:
+    # COPY needs a type-strict re-entry comparison.  PICK also needs a
+    # type-strict memo key: without one, the order that ends with n = 1 is
+    # taken for the one that ends with n = true and skipped.
+    prog = textio.parse_program(text)
+    verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
+    assert not verdict.compatible
+    assert "re-entered" in verdict.reason
+    n = verdict.judgement.astate_map()["g"][1]["n"]
+    assert n == 1 and n is not True
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_independent_sync_interactions_take_two_to_the_k_judgements(k) -> None:
+    # one judgement per subset of interactions done, whatever the order
+    prog = textio.parse_program(parallel_pairs(k, "Sync"))
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert verdict.judgements_checked == 2**k
+
+
+@pytest.mark.parametrize("k,judgements", [(2, 17), (3, 187), (4, 3537)])
+def test_buffer1_pair_judgement_counts_are_pinned(k, judgements) -> None:
+    # a buffered datum is a fresh token per path, so interleavings that fill
+    # the same buffers in another order stay apart
+    prog = textio.parse_program(parallel_pairs(k, "Buffer1"))
+    for modular in (False, True):
+        verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
+        assert verdict.judgements_checked == judgements
+
+
+def test_benchmark_judgement_counter_equals_judgements_checked(monkeypatch) -> None:
+    # perfbench's tracer counts judgements as Judgement objects are built
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import tracer
+    import workloads
+
+    check = next(op for op in workloads.parallel(0, False).ops if op.metric == "check_s")
+    programs = [textio.parse_program(i.src.text) for i in check.items if i.src.compatible]
+    programs += [load_program(name) for name, yes, _c, _s in VERDICTS if yes]
+    assert len(programs) == 7
+    for prog in programs:
+        t = tracer.Tracer()
+        t.install()
+        try:
+            verdict = compat.check_compatibility(prog.main, prog.connectors)
+        finally:
+            t.uninstall()
+        assert verdict.compatible
+        assert t.calls["compat.check"] == 1
+        assert t.calls["compat.judgements"] == verdict.judgements_checked
 
 
 def test_modular_restriction_ignores_unrelated_connectors() -> None:

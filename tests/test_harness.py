@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 
 from choreo import chor_engine as ce
-from choreo import harness
+from choreo import harness, textio
+from choreo.cp_engine import pruning_leq
 from choreo.core import (
     BOT,
     Constraint,
@@ -33,7 +34,7 @@ from choreo.harness import (
     swapped_rendezvous,
 )
 
-from conftest import load_program
+from conftest import load_program, ring_chain
 
 
 def _f(a, b) -> Flow:
@@ -181,6 +182,22 @@ def test_correspondence_counts_are_pinned_on_every_fixture() -> None:
             report = correspondence_check(prog, bound=bound)
             got = (report.pairs_checked, len(report.gaps), report.truncated)
             assert got == (pairs, gaps, truncated), (name, bound)
+
+
+def test_pruning_leq_verdicts_are_shared_between_directions(monkeypatch) -> None:
+    # on a chain every pair has one step on each side, and each direction
+    # asks whether the network step lies above the projected choreography
+    # step; asked separately, that took 116 pruning_leq calls here
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return pruning_leq(a, b)
+
+    monkeypatch.setattr(harness, "pruning_leq", counted)
+    report = correspondence_check(textio.parse_program(ring_chain(40)[0]), bound=1000)
+    assert (report.pairs_checked, report.gaps, report.truncated) == (59, [], False)
+    assert len(calls) <= 116 // 2
 
 
 def test_advance_until_connector_stops_at_the_right_prefix() -> None:
