@@ -44,6 +44,7 @@ from .core import (
     eta_key,
     expr_key,
     known_pn,
+    pn_eta,
     pn_etas,
     sender_of,
     sorted_etas,
@@ -415,61 +416,67 @@ def match_transition(
     return (out_etas, sigma2, mu2)
 
 
-def match_failure_stage(
-    etas: frozenset[Interaction],
-    phi: Constraint,
-    sigma: "Mapping[tuple[str, str], Value] | None",
-    mu: MemorySnapshot,
-) -> "str | None":
-    """None if the match succeeds, else which stage refused it:
-    'ports' (shape) or 'value' (a stored datum failed a premise)."""
-    m = match_constraint(etas, phi, mu, sigma=sigma, fresh=_null_fresh if sigma is None else None)
-    return m if isinstance(m, str) else None
-
-
-def _null_fresh() -> Value:
-    return BOT
-
-
 # ---------------------------------------------------------------------------
 # Head exposures
 
 
-@dataclass
-class EtaExposure:
-    etas: frozenset[Interaction]
-    connector: str
-    rebuild: Callable[[frozenset[Interaction]], object]
+@dataclass(slots=True)
+class Exposure:
+    """Something the precongruence can bring to the head: an interaction set
+    on a connector, or a conditional at its deciding process.  `rebuild`
+    puts the whole choreography back around the residual set, or around the
+    branch taken."""
+
+    kind: str  # "com" | "cond", as in lts.Step
+    subject: str  # connector for com, deciding process for cond
+    what: object  # the interaction set for com, the guard for cond
+    procs: frozenset[str]  # the processes it involves
+    rebuild: Callable[[object], object]
+
+    def wrap(self, around: Callable[[object], object]) -> "Exposure":
+        """The same exposure, seen one node further out; `around` rebuilds
+        that node around the subterm."""
+        rebuild = self.rebuild
+        return Exposure(
+            self.kind, self.subject, self.what, self.procs, lambda r: around(rebuild(r))
+        )
 
 
-@dataclass
-class CondExposure:
-    process: str
-    guard: Expr
-    take: Callable[[bool], object]
-
-
-def _valid_splits(etas: frozenset[Interaction]) -> list[frozenset[Interaction]]:
-    """Nonempty subsets that can be split off: the subset and its complement
-    must not share processes.  Includes the full set."""
+def _valid_splits(etas: frozenset[Interaction]) -> list[tuple[frozenset[Interaction], frozenset[str]]]:
+    """Nonempty subsets that can be split off, with their processes.  A
+    subset and its complement must not share processes, so the subsets are
+    the unions of the set's process-connected parts, ordered by the bitmask
+    of their members in canonical order.  Includes the full set."""
     members = sorted_etas(etas)
-    n = len(members)
-    if n == 0:
-        return []
-    if n > 10:
-        return [etas]  # defensive; interaction sets are tiny in practice
-    out: list[frozenset[Interaction]] = []
-    pns = [pn_etas([m]) for m in members]
-    for mask in range(1, 1 << n):
-        inside: frozenset[str] = frozenset()
-        outside: frozenset[str] = frozenset()
-        for i in range(n):
-            if mask & (1 << i):
-                inside |= pns[i]
-            else:
-                outside |= pns[i]
-        if not (inside & outside):
-            out.append(frozenset(members[i] for i in range(n) if mask & (1 << i)))
+    parts: list[tuple[int, frozenset[str]]] = []  # (member bitmask, processes)
+    for i, eta in enumerate(members):
+        mask, procs = 1 << i, pn_eta(eta)
+        for part in parts[:]:
+            if part[1] & procs:
+                parts.remove(part)
+                mask, procs = mask | part[0], procs | part[1]
+        parts.append((mask, procs))
+    if len(parts) < 2:  # a connected set splits off only as a whole
+        return [(etas, procs) for _, procs in parts]
+    unions: list[tuple[int, frozenset[str]]] = [(0, frozenset())]
+    for mask, procs in parts:
+        unions += [(m | mask, p | procs) for m, p in unions]
+    return [
+        (frozenset(eta for i, eta in enumerate(members) if mask >> i & 1), procs)
+        for mask, procs in sorted(unions[1:])
+    ]
+
+
+def _splits(etas: frozenset[Interaction], gamma: str, cont, touching) -> list[Exposure]:
+    """The subsets of a set on connector gamma that can be split off and
+    meet `touching`, each with the rest left in place above cont."""
+    out = []
+    for subset, procs in _valid_splits(etas):
+        if not touching.isdisjoint(subset):
+            rest = etas - subset
+            out.append(
+                Exposure("com", gamma, subset, procs, lambda r, rest=rest: Prefix(r | rest, gamma, cont))
+            )
     return out
 
 
@@ -480,17 +487,18 @@ def exposures(
     allow_unfold: bool,
     above: frozenset = frozenset(),
     blocked: frozenset = frozenset(),
-):
-    """Eta and cond exposures of c.  `above` holds the processes of the
-    nearest enclosing prefix, `blocked` those of the two nearest."""
+) -> list[Exposure]:
+    """Com and cond exposures of c, each kind in enumeration order.  `above`
+    holds the processes of the nearest enclosing prefix, `blocked` those of
+    the two nearest."""
     if isinstance(c, End):
-        return [], []
+        return []
     if isinstance(c, Call):
         if allow_unfold and c.name in env and c.name not in unfolded:
             return exposures(
                 env[c.name], env, unfolded | {c.name}, allow_unfold, above, blocked
             )
-        return [], []
+        return []
     if isinstance(c, Prefix):
         # Skip c when the processes of the two nearest enclosing prefixes,
         # P1 and P2, cover all of c's: nothing in c can reach the head then,
@@ -508,136 +516,58 @@ def exposures(
         if my_pn <= blocked:  # only then can the whole of c be covered
             procs = known_pn(c)
             if procs is not None and procs <= blocked:
-                return [], []
-        eta_out: list[EtaExposure] = []
-        for subset in _valid_splits(etas):
-            rest = etas - subset
-            eta_out.append(
-                EtaExposure(
-                    subset,
-                    gamma,
-                    lambda res, rest=rest, gamma=gamma, cont=cont: Prefix(
-                        res | rest, gamma, cont
-                    ),
-                )
-            )
-        sub_etas, sub_conds = exposures(
-            cont, env, unfolded, allow_unfold, my_pn, my_pn | above
-        )
-        for ex in sub_etas:
-            if pn_etas(ex.etas) & my_pn:
-                continue
-            if ex.connector != gamma:
-                eta_out.append(
-                    EtaExposure(
-                        ex.etas,
-                        ex.connector,
-                        lambda res, etas=etas, gamma=gamma, rb=ex.rebuild: Prefix(
-                            etas, gamma, rb(res)
-                        ),
-                    )
-                )
+                return []
+        out = _splits(etas, gamma, cont, etas)
+        for ex in exposures(cont, env, unfolded, allow_unfold, my_pn, my_pn | above):
+            if ex.procs & my_pn:
+                continue  # blocked by this prefix
+            if ex.kind == "com" and ex.subject == gamma:  # merge, then split again
+                out += _splits(etas | ex.what, gamma, normalize(ex.rebuild(frozenset())), ex.what)
             else:
-                tail = normalize(ex.rebuild(frozenset()))
-                union = etas | ex.etas
-                for subset in _valid_splits(union):
-                    if not (subset & ex.etas):
-                        continue
-                    rest = union - subset
-                    eta_out.append(
-                        EtaExposure(
-                            subset,
-                            gamma,
-                            lambda res, rest=rest, gamma=gamma, tail=tail: Prefix(
-                                res | rest, gamma, tail
-                            ),
-                        )
-                    )
-        cond_out = []
-        for cx in sub_conds:
-            if cx.process in my_pn:
-                continue
-            cond_out.append(
-                CondExposure(
-                    cx.process,
-                    cx.guard,
-                    lambda b, etas=etas, gamma=gamma, take=cx.take: Prefix(
-                        etas, gamma, take(b)
-                    ),
-                )
-            )
-        return eta_out, cond_out
+                out.append(ex.wrap(lambda t: Prefix(etas, gamma, t)))
+        return out
     if isinstance(c, Cond):
-        e1, c1 = exposures(c.then_branch, env, unfolded, allow_unfold, above, blocked)
-        e2, c2 = exposures(c.else_branch, env, unfolded, allow_unfold, above, blocked)
-        eta_out = []
-        for x1 in e1:
-            for x2 in e2:
-                if (
-                    x1.etas == x2.etas
-                    and x1.connector == x2.connector
-                    and c.process not in pn_etas(x1.etas)
-                ):
-                    eta_out.append(
-                        EtaExposure(
-                            x1.etas,
-                            x1.connector,
-                            lambda res, c=c, r1=x1.rebuild, r2=x2.rebuild: Cond(
-                                c.process, c.guard, r1(res), r2(res)
-                            ),
-                        )
-                    )
-        cond_out = [
-            CondExposure(
+        out = [
+            Exposure(
+                "cond",
                 c.process,
                 c.guard,
-                lambda b, c=c: c.then_branch if b else c.else_branch,
+                frozenset({c.process}),
+                lambda b: c.then_branch if b else c.else_branch,
             )
         ]
-        for y1 in c1:
-            for y2 in c2:
-                if (
-                    y1.process == y2.process
-                    and y1.guard == y2.guard
-                    and y1.process != c.process
-                ):
-                    cond_out.append(
-                        CondExposure(
-                            y1.process,
-                            y1.guard,
-                            lambda b, c=c, t1=y1.take, t2=y2.take: Cond(
-                                c.process, c.guard, t1(b), t2(b)
+        then_exps = exposures(c.then_branch, env, unfolded, allow_unfold, above, blocked)
+        else_exps = exposures(c.else_branch, env, unfolded, allow_unfold, above, blocked)
+        for x1 in then_exps:
+            if c.process in x1.procs:
+                continue
+            for x2 in else_exps:
+                if x1.kind == x2.kind and x1.subject == x2.subject and x1.what == x2.what:
+                    out.append(
+                        Exposure(
+                            x1.kind,
+                            x1.subject,
+                            x1.what,
+                            x1.procs,
+                            lambda r, r1=x1.rebuild, r2=x2.rebuild: Cond(
+                                c.process, c.guard, r1(r), r2(r)
                             ),
                         )
                     )
-        return eta_out, cond_out
+        return out
     assert isinstance(c, Def)
     env2 = dict(env)
     env2[c.name] = c.body
-    sub_etas, sub_conds = exposures(c.cont, env2, unfolded, allow_unfold, above, blocked)
-    eta_out = [
-        EtaExposure(
-            ex.etas,
-            ex.connector,
-            lambda res, c=c, rb=ex.rebuild: Def(c.name, c.body, rb(res)),
-        )
-        for ex in sub_etas
+    return [
+        ex.wrap(lambda t: Def(c.name, c.body, t))
+        for ex in exposures(c.cont, env2, unfolded, allow_unfold, above, blocked)
     ]
-    cond_out = [
-        CondExposure(
-            cx.process,
-            cx.guard,
-            lambda b, c=c, take=cx.take: Def(c.name, c.body, take(b)),
-        )
-        for cx in sub_conds
-    ]
-    return eta_out, cond_out
 
 
-def head_exposures(c, unfold: bool = True) -> list[EtaExposure]:
-    """Every interaction set the precongruence can bring to the head, with a
-    context function rebuilding the whole choreography around the residue."""
-    return exposures(normalize(c), {}, frozenset(), unfold)[0]
+def head_exposures(c, unfold: bool = True) -> list[Exposure]:
+    """Every interaction set the precongruence can bring to the head, as the
+    com exposures of c."""
+    return [ex for ex in exposures(normalize(c), {}, frozenset(), unfold) if ex.kind == "com"]
 
 
 # ---------------------------------------------------------------------------
@@ -649,37 +579,41 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
     chor = normalize(cfg.chor)
     sigma = cfg.sigma_map()
     astate = cfg.astate_map()
-    eta_exps, cond_exps = exposures(chor, {}, frozenset(), True)
+    exps = exposures(chor, {}, frozenset(), True)
     out: list[Step] = []
     seen: set = set()
-    for ex in eta_exps:
-        if ex.connector not in g:
-            raise InputError(f"no automaton for connector {ex.connector}")
-        state, mu = astate[ex.connector]
-        for t in g[ex.connector].outgoing(state):
-            m = match_transition(ex.etas, t.phi, sigma, mu)
+    for ex in exps:
+        if ex.kind != "com":
+            continue
+        if ex.subject not in g:
+            raise InputError(f"no automaton for connector {ex.subject}")
+        state, mu = astate[ex.subject]
+        for t in g[ex.subject].outgoing(state):
+            m = match_transition(ex.what, t.phi, sigma, mu)
             if m is None:
                 continue
             residual, sigma2, mu2 = m
             astate2 = dict(astate)
-            astate2[ex.connector] = (t.dst, mu2)
+            astate2[ex.subject] = (t.dst, mu2)
             succ = Configuration.make(normalize(ex.rebuild(residual)), sigma2, astate2)
-            key = ("com", ex.connector, constraint_key(t.phi), succ)
+            key = ("com", ex.subject, constraint_key(t.phi), succ)
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Step("com", ex.connector, t.phi, None, state, t.dst, succ))
-    for cx in cond_exps:
-        v = eval_expr(cx.guard, sigma, cx.process)
+            out.append(Step("com", ex.subject, t.phi, None, state, t.dst, succ))
+    for ex in exps:
+        if ex.kind != "cond":
+            continue
+        v = eval_expr(ex.what, sigma, ex.subject)
         if not isinstance(v, bool):
-            raise EvalError(f"guard at {cx.process} is not a boolean: {v!r}")
-        succ = Configuration.make(normalize(cx.take(v)), sigma, astate)
-        key = ("cond", cx.process, expr_key(cx.guard), v, succ)
+            raise EvalError(f"guard at {ex.subject} is not a boolean: {v!r}")
+        succ = Configuration.make(normalize(ex.rebuild(v)), sigma, astate)
+        key = ("cond", ex.subject, expr_key(ex.what), v, succ)
         if key in seen:
             continue
         seen.add(key)
         out.append(
-            Step("cond", cx.process, None, "then" if v else "else", None, None, succ)
+            Step("cond", ex.subject, None, "then" if v else "else", None, None, succ)
         )
     return out
 
@@ -703,17 +637,17 @@ def report_stuck(cfg: Configuration, g: ConnectorMapping) -> StuckReport:
     sigma = cfg.sigma_map()
     astate = cfg.astate_map()
     failures: dict[tuple, tuple[str, str]] = {}
-    for ex in exposures(normalize(cfg.chor), {}, frozenset(), True)[0]:
-        state, mu = astate[ex.connector]
-        for t in g[ex.connector].outgoing(state):
-            stage = match_failure_stage(ex.etas, t.phi, sigma, mu)
-            if stage is None:
+    for ex in head_exposures(cfg.chor):
+        state, mu = astate[ex.subject]
+        for t in g[ex.subject].outgoing(state):
+            stage = match_constraint(ex.what, t.phi, mu, sigma)
+            if not isinstance(stage, str):
                 continue
-            key = (ex.connector, constraint_key(t.phi), tuple(sorted(eta_key(e) for e in ex.etas)))
+            key = (ex.subject, constraint_key(t.phi), tuple(sorted(eta_key(e) for e in ex.what)))
             if key not in failures:
                 detail = (
-                    f"{ex.connector} at state {state}: {pretty_constraint(t.phi)} vs "
-                    f"{pretty_eta_set(ex.etas)}"
+                    f"{ex.subject} at state {state}: {pretty_constraint(t.phi)} vs "
+                    f"{pretty_eta_set(ex.what)}"
                 )
                 failures[key] = (detail, stage)
     return lts.stuck_report(

@@ -42,7 +42,7 @@ from .core import (
     Value,
     connectors_of,
 )
-from .chor_engine import exposures, freeze_astate, match_constraint, normalize
+from .chor_engine import freeze_astate, head_exposures, match_constraint, normalize
 
 
 class TokenSource:
@@ -58,11 +58,10 @@ def abstract_match(
     etas: frozenset[Interaction],
     phi,
     mu: MemorySnapshot,
-    tokens: "TokenSource | None" = None,
+    tokens: TokenSource,
 ):
     """Value-free variant of the transition matcher: sent data become fresh
     tokens (one per sending process and step).  Returns (etas', mu') or None."""
-    tokens = tokens if tokens is not None else TokenSource()
     m = match_constraint(etas, phi, mu, sigma=None, fresh=tokens.fresh)
     if isinstance(m, str):
         return None
@@ -359,19 +358,19 @@ def _prefix_successors(j: Judgement, g: ConnectorMapping, tokens: TokenSource):
     astate = j.astate_map()
     succs: list[tuple] = []
     tried: list[tuple] = []
-    for ex in exposures(j.chor, {}, frozenset(), False)[0]:
-        state, mu = astate[ex.connector]
-        for t in g[ex.connector].outgoing(state):
+    for ex in head_exposures(j.chor, unfold=False):
+        state, mu = astate[ex.subject]
+        for t in g[ex.subject].outgoing(state):
             if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
                 continue  # consumes nothing; see module docstring
-            m = abstract_match(ex.etas, t.phi, mu, tokens)
-            attempt = (ex.connector, ex.etas, t, state)
+            m = abstract_match(ex.what, t.phi, mu, tokens)
+            attempt = (ex.subject, ex.what, t, state)
             tried.append(attempt)
             if m is None:
                 continue
             residual, mu2 = m
             astate2 = dict(astate)
-            astate2[ex.connector] = (t.dst, mu2)
+            astate2[ex.subject] = (t.dst, mu2)
             succs.append((j.gamma, freeze_astate(astate2), normalize(ex.rebuild(residual)), attempt))
     return succs, tried
 

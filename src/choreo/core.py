@@ -7,8 +7,8 @@ downstream (parser, engines, projection) relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Mapping, Union
 
 
 class InputError(Exception):
@@ -701,23 +701,23 @@ def instantiate(
     if len(set(subst.values())) != len(subst):
         raise InputError(f"binding for {a.name} maps two ports to the same process")
 
-    def ren(e: FlowEnd) -> FlowEnd:
-        if isinstance(e, Port):
-            return Port(subst[e.name])
-        return e
-
-    transitions = tuple(
-        Transition(t.src, Constraint(frozenset(Flow(ren(f.src), ren(f.dst)) for f in t.phi.flows)), t.dst)
-        for t in a.transitions
+    return replace(
+        a,
+        name=name if name is not None else a.name,
+        ports=tuple(subst[p] for p in a.ports),
+        transitions=renamed_transitions(a, subst.__getitem__),
     )
-    return ConstraintAutomaton(
-        name if name is not None else a.name,
-        a.states,
-        tuple(subst[p] for p in a.ports),
-        a.mems,
-        transitions,
-        a.init_state,
-        a.init_mem,
+
+
+def renamed_transitions(a: ConstraintAutomaton, ren: Callable[[str], str]) -> tuple[Transition, ...]:
+    """a's transitions with every port p in their flows renamed to ren(p)."""
+
+    def end(e: FlowEnd) -> FlowEnd:
+        return Port(ren(e.name)) if isinstance(e, Port) else e
+
+    return tuple(
+        Transition(t.src, Constraint(frozenset(Flow(end(f.src), end(f.dst)) for f in t.phi.flows)), t.dst)
+        for t in a.transitions
     )
 
 

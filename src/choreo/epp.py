@@ -3,23 +3,18 @@ translation of a choreography plus connectors into a process network."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 from .core import (
     ConstraintAutomaton,
     Expr,
-    Flow,
     InputError,
-    Interaction,
-    Mem,
     Port,
-    Constraint,
     ConnectorMapping,
     RecvSel,
     RecvVal,
     Sel,
-    Transition,
     ValCom,
     Value,
     pn,
@@ -493,24 +488,13 @@ def project_connectors(g: ConnectorMapping) -> dict[str, ConstraintAutomaton]:
                 raise InputError(f"process name {p} may not contain '_'")
         directions = _port_directions(a)
 
-        def rename(e, gamma=gamma, directions=directions):
-            if isinstance(e, Port):
-                d = directions.get(e.name, "o")
-                return Port(PortName(d, e.name, gamma).render())
-            return e
+        def rename(p: str, gamma=gamma, directions=directions) -> str:
+            return PortName(directions.get(p, "o"), p, gamma).render()
 
-        transitions = tuple(
-            Transition(
-                t.src,
-                Constraint(frozenset(Flow(rename(f.src), rename(f.dst)) for f in t.phi.flows)),
-                t.dst,
-            )
-            for t in a.transitions
-        )
-        ports = tuple(
-            PortName(directions.get(p, "o"), p, gamma).render() for p in a.ports
-        )
-        out[gamma] = ConstraintAutomaton(
-            gamma, a.states, ports, a.mems, transitions, a.init_state, a.init_mem
+        out[gamma] = replace(
+            a,
+            name=gamma,
+            ports=tuple(rename(p) for p in a.ports),
+            transitions=core.renamed_transitions(a, rename),
         )
     return out

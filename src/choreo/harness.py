@@ -46,6 +46,7 @@ from .core import (
     Var,
     desugar_multicast,
     instantiate,
+    renamed_transitions,
     sorted_etas,
 )
 from .chor_engine import (
@@ -76,21 +77,9 @@ from . import textio
 def swap_ports(a: ConstraintAutomaton, x: str, y: str, name: "str | None" = None) -> ConstraintAutomaton:
     """Exchange two ports in every flow, keeping everything else intact."""
 
-    def sub(end):
-        if isinstance(end, Port):
-            if end.name == x:
-                return Port(y)
-            if end.name == y:
-                return Port(x)
-        return end
-
-    transitions = tuple(
-        Transition(t.src, Constraint(frozenset(Flow(sub(f.src), sub(f.dst)) for f in t.phi.flows)), t.dst)
-        for t in a.transitions
-    )
-    return ConstraintAutomaton(
-        name or a.name, a.states, a.ports, a.mems, transitions, a.init_state, a.init_mem
-    )
+    swap = {x: y, y: x}
+    transitions = renamed_transitions(a, lambda p: swap.get(p, p))
+    return replace(a, name=name or a.name, transitions=transitions)
 
 
 def relabel_transition(
@@ -108,16 +97,12 @@ def relabel_transition(
     old = a.transitions[index]
     new = Transition(old.src, Constraint(frozenset(Flow(end(p), end(q)) for p, q in flows)), old.dst)
     transitions = tuple(new if i == index else t for i, t in enumerate(a.transitions))
-    return ConstraintAutomaton(
-        name or a.name, a.states, a.ports, a.mems, transitions, a.init_state, a.init_mem
-    )
+    return replace(a, name=name or a.name, transitions=transitions)
 
 
 def drop_transition(a: ConstraintAutomaton, index: int, name: "str | None" = None) -> ConstraintAutomaton:
     transitions = tuple(t for i, t in enumerate(a.transitions) if i != index)
-    return ConstraintAutomaton(
-        name or a.name, a.states, a.ports, a.mems, transitions, a.init_state, a.init_mem
-    )
+    return replace(a, name=name or a.name, transitions=transitions)
 
 
 def bad_alternator() -> ConstraintAutomaton:
@@ -151,7 +136,6 @@ def oracle_eta_reductions(
     etas: frozenset[Interaction],
     sigma: Mapping[tuple[str, str], Value],
     mu: MemorySnapshot,
-    depth: "int | None" = None,
     max_label: "int | None" = None,
 ) -> set[OracleResult]:
     """All labelled reductions of an interaction set, by exhaustive
@@ -178,11 +162,7 @@ def oracle_eta_reductions(
         used_mem: frozenset,
         written: frozenset,
         label: frozenset,
-        depth_left: "int | None",
     ) -> None:
-        if depth_left is not None and depth_left <= 0:
-            return
-        nxt = None if depth_left is None else depth_left - 1
         for eta in sorted_etas(cur_etas):
             if isinstance(eta, ValCom):
                 v = eval_expr(eta.expr, cur_sigma, eta.sender)
@@ -195,7 +175,6 @@ def oracle_eta_reductions(
                     used_mem,
                     written,
                     label | {Flow(Port(eta.sender), Port(eta.receiver))},
-                    nxt,
                 )
                 for m in cells:
                     mu2 = dict(cur_mu)
@@ -207,7 +186,6 @@ def oracle_eta_reductions(
                         used_mem,
                         written | {m},
                         label | {Flow(Port(eta.sender), Mem(m))},
-                        nxt,
                     )
             elif isinstance(eta, Sel):
                 _emit(
@@ -217,7 +195,6 @@ def oracle_eta_reductions(
                     used_mem,
                     written,
                     label | {Flow(Port(eta.sender), Port(eta.receiver))},
-                    nxt,
                 )
                 for m in cells:
                     mu2 = dict(cur_mu)
@@ -229,7 +206,6 @@ def oracle_eta_reductions(
                         used_mem,
                         written | {m},
                         label | {Flow(Port(eta.sender), Mem(m))},
-                        nxt,
                     )
             elif isinstance(eta, RecvVal):
                 for m in cells:
@@ -249,7 +225,6 @@ def oracle_eta_reductions(
                         used_mem,
                         written,
                         label | {Flow(Mem(m), Port(eta.receiver))},
-                        nxt,
                     )
             else:
                 assert isinstance(eta, RecvSel)
@@ -266,7 +241,6 @@ def oracle_eta_reductions(
                         used_mem,
                         written,
                         label | {Flow(Mem(m), Port(eta.receiver))},
-                        nxt,
                     )
         for m1 in cells:
             if m1 in written:
@@ -285,12 +259,11 @@ def oracle_eta_reductions(
                     used_mem | {(m1, m2)},
                     written | {m2},
                     label | {Flow(Mem(m1), Mem(m2))},
-                    nxt,
                 )
 
     seen: set[tuple] = set()
 
-    def _emit(e, s, m, used, written, label, depth_left) -> None:
+    def _emit(e, s, m, used, written, label) -> None:
         fl = frozenset(label)
         if max_label is not None and len(fl) > max_label:
             return
@@ -298,13 +271,13 @@ def oracle_eta_reductions(
         fs = freeze_sigma(s)
         fm = tuple(sorted(m.items()))
         results.add(OracleResult(Constraint(fl), fe, fs, fm))
-        key = (fe, fs, fm, used, written, fl, depth_left)
+        key = (fe, fs, fm, used, written, fl)
         if key in seen:
             return
         seen.add(key)
-        go(e, s, m, used, written, label, depth_left)
+        go(e, s, m, used, written, label)
 
-    go(frozenset(etas), dict(sigma), dict(mu), frozenset(), frozenset(), frozenset(), depth)
+    go(frozenset(etas), dict(sigma), dict(mu), frozenset(), frozenset(), frozenset())
     return results
 
 
@@ -359,9 +332,11 @@ def _project_cfg(cfg: Configuration) -> Network:
     return normalize_network(project_network(normalize(cfg.chor), cfg.sigma_map()))
 
 
-def correspondence_check(
-    program: "textio.Program", bound: int = 25, completion_depth: int = 3
-) -> CorrespondenceReport:
+# how many steps one side may take to match a single step of the other
+COMPLETION_DEPTH = 3
+
+
+def correspondence_check(program: "textio.Program", bound: int = 25) -> CorrespondenceReport:
     """Joint breadth-first check of the two semantics, as one search over
     (choreography, network) configuration pairs from the paired initial ones.
 
@@ -386,13 +361,13 @@ def correspondence_check(
 
     def matched(start, steps: list[Step], successors, accept):
         """The first one-step successor `accept` takes, else the first state
-        it takes within `completion_depth` steps, else None.  One step on one
+        it takes within COMPLETION_DEPTH steps, else None.  One step on one
         side may need several on the other: commuting an interaction forward
         can require resolving an earlier one first."""
         for step in steps:
             if accept(step.config):
                 return step.config
-        return search(start, successors, completion_depth, goal=accept).found
+        return search(start, successors, COMPLETION_DEPTH, goal=accept).found
 
     def pair_steps(pair: tuple[Configuration, NetConfiguration]) -> list[Step]:
         nonlocal pairs

@@ -26,7 +26,7 @@ Grammar sketch (full EBNF in the README):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     BOT,
@@ -512,15 +512,30 @@ class Program:
 core_chor = object  # documentation alias; choreography terms come from core
 
 
-def parse_program(src: str, runtime: bool = False) -> Program:
-    p = _Parser(src)
+def _validated(a: ConstraintAutomaton) -> ConstraintAutomaton:
+    problems = validate_automaton(a)
+    if problems:
+        raise InputError(f"automaton {a.name}: " + "; ".join(problems))
+    return a
+
+
+def _automata(p: _Parser) -> dict[str, ConstraintAutomaton]:
+    """The leading automaton blocks of a program or network, each validated."""
     automata: dict[str, ConstraintAutomaton] = {}
     while p.at_word("automaton"):
-        a = p.automaton_block()
-        problems = validate_automaton(a)
-        if problems:
-            raise InputError(f"automaton {a.name}: " + "; ".join(problems))
+        a = _validated(p.automaton_block())
         automata[a.name] = a
+    return automata
+
+
+def _with_cells(a: ConstraintAutomaton, over: dict[str, Value]) -> ConstraintAutomaton:
+    """a with the initial values of the cells in `over` replaced."""
+    return replace(a, init_mem=tuple((m, over.get(m, v)) for m, v in a.init_mem))
+
+
+def parse_program(src: str, runtime: bool = False) -> Program:
+    p = _Parser(src)
+    automata = _automata(p)
     p.eat_word("connectors")
     p.eat_sym("{")
     bindings: dict[str, tuple[str, dict[str, str]]] = {}
@@ -553,7 +568,6 @@ def parse_program(src: str, runtime: bool = False) -> Program:
     init_sigma: dict[tuple[str, str], Value] = {}
     mem_overrides: dict[tuple[str, str], Value] = {}
     while not p.at_sym("}"):
-        owner_tok = p.peek()
         owner = p.ident("process or connector")
         p.eat_sym(".")
         slot = p.ident("variable or cell")
@@ -564,7 +578,6 @@ def parse_program(src: str, runtime: bool = False) -> Program:
             mem_overrides[(owner, slot)] = v
         else:
             init_sigma[(owner, slot)] = v
-        del owner_tok
     p.eat_sym("}")
     p.eat_word("main")
     p.eat_sym("{")
@@ -580,12 +593,7 @@ def parse_program(src: str, runtime: bool = False) -> Program:
         unknown = set(over) - set(inst.mems)
         if unknown:
             raise InputError(f"connector {gamma} has no cell named {', '.join(sorted(unknown))}")
-        if over:
-            cells = tuple((m, over.get(m, dict(inst.init_mem)[m])) for m in inst.mems)
-            inst = ConstraintAutomaton(
-                inst.name, inst.states, inst.ports, inst.mems, inst.transitions, inst.init_state, cells
-            )
-        connectors[gamma] = inst
+        connectors[gamma] = _with_cells(inst, over)
 
     problems = check_closed(main)
     if problems:
@@ -602,10 +610,7 @@ def parse_automaton(src: str) -> ConstraintAutomaton:
     a = p.automaton_block()
     if p.peek().kind != "eof":
         raise p.fail("trailing input after automaton block")
-    problems = validate_automaton(a)
-    if problems:
-        raise InputError(f"automaton {a.name}: " + "; ".join(problems))
-    return a
+    return _validated(a)
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +619,7 @@ def parse_automaton(src: str) -> ConstraintAutomaton:
 
 def parse_cp(src: str) -> "cp_engine.CpProgram":
     p = _Parser(src)
-    automata: dict[str, ConstraintAutomaton] = {}
-    while p.at_word("automaton"):
-        a = p.automaton_block()
-        problems = validate_automaton(a)
-        if problems:
-            raise InputError(f"automaton {a.name}: " + "; ".join(problems))
-        automata[a.name] = a
+    automata = _automata(p)
     p.eat_word("init")
     p.eat_sym("{")
     stores: dict[str, dict[str, Value]] = {}
@@ -656,10 +655,7 @@ def parse_cp(src: str) -> "cp_engine.CpProgram":
         a = automata[name]
         if cell not in a.mems:
             raise InputError(f"automaton {name} has no cell named {cell}")
-        cells = tuple((m, v if m == cell else dict(a.init_mem)[m]) for m in a.mems)
-        automata[name] = ConstraintAutomaton(
-            a.name, a.states, a.ports, a.mems, a.transitions, a.init_state, cells
-        )
+        automata[name] = _with_cells(a, {cell: v})
     net = cp_engine.Network.make({q: (stores.get(q, {}), b) for q, b in procs.items()})
     astate = {name: (a.init_state, a.init_mem_map()) for name, a in automata.items()}
     return cp_engine.CpProgram(automata, cp_engine.NetConfiguration.make(net, astate))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -84,9 +87,9 @@ def test_match_value_equality_is_typed() -> None:
 def test_match_failure_stages() -> None:
     etas = frozenset({RecvVal("c", "t", "foo")})
     phi = _phi((Mem("m"), Port("c")))
-    assert ce.match_failure_stage(etas, phi, None, {"m": "bar"}) == "value"
+    assert ce.match_constraint(etas, phi, {"m": "bar"}) == "value"
     wrong_port = _phi((Mem("m"), Port("zz")))
-    assert ce.match_failure_stage(etas, wrong_port, None, {"m": "foo"}) == "ports"
+    assert ce.match_constraint(etas, wrong_port, {"m": "foo"}) == "ports"
 
 
 def test_match_sender_participates_maximally() -> None:
@@ -151,7 +154,7 @@ def test_match_rejects_memory_cycles() -> None:
 def test_head_exposures_cross_independent_prefixes() -> None:
     prog = load_program("reorder.cr")
     exps = ce.head_exposures(prog.main)
-    sets = {(e.connector, e.etas) for e in exps}
+    sets = {(e.subject, e.what) for e in exps}
     # the t/v exchange on g2 is process-disjoint from everything on g1
     assert any(c == "g2" and any(x.receiver == "v" for x in s) for c, s in sets)
 
@@ -161,7 +164,7 @@ def test_head_exposures_merge_and_resplit_on_same_connector() -> None:
     exps = ce.head_exposures(prog.main)
     # the r/s pair buried two prefixes deep pairs up with the first p/q set
     assert any(
-        e.etas
+        e.what
         == frozenset(
             {ValCom("p", Var("x"), "q", "y"), ValCom("r", Var("z"), "s", "w")}
         )
@@ -258,6 +261,33 @@ def _splits_per_step(monkeypatch, n: int) -> list[int]:
     return per_step
 
 
+def _wide_set_program(n: int) -> str:
+    """a0.x -> z.y through the Sync h, then the set of the n independent
+    interactions ai.x -> bi.y through g, which serves each pair alone."""
+    ports = ", ".join(f"p{2 * i}, q{2 * i}" for i in range(n))
+    moves = "".join(f"  1 -> 1 on p{2 * i} > q{2 * i};\n" for i in range(n))
+    ends = ", ".join(f"a{i}/p{2 * i}, b{i}/q{2 * i}" for i in range(n))
+    init = "".join(f"  a{i}.x = {i};\n" for i in range(n))
+    pairs = ", ".join(f"a{i}.x -> b{i}.y" for i in range(n))
+    return (
+        "automaton Sync { states 1; ports p1, p2; init 1; 1 -> 1 on p1 > p2; }\n"
+        f"automaton Pairs {{\n  states 1;\n  ports {ports};\n  init 1;\n{moves}}}\n"
+        f"connectors {{\n  h: Sync[a0/p1, z/p2];\n  g: Pairs[{ends}];\n}}\n"
+        f"init {{\n{init}}}\n"
+        f"main {{\n  a0.x -> z.y thru h;\n  {{{pairs}}} thru g;\n  0\n}}\n"
+    )
+
+
+@pytest.mark.parametrize("n", [10, 11, 13])
+def test_every_pair_of_a_wide_set_can_pass_the_head(n: int) -> None:
+    # a0 is blocked by the head; each other pair splits off alone and passes it
+    prog = textio.parse_program(_wide_set_program(n))
+    rs = ce.reductions(ce.initial_configuration(prog), prog.connectors)
+    assert [r.subject for r in rs] == ["h"] + ["g"] * (n - 1)
+    left_behind = {r.config.chor.cont.etas for r in rs[1:]}  # one pair fired each
+    assert len(left_behind) == n - 1
+
+
 def test_step_cost_does_not_grow_with_chain_length(monkeypatch) -> None:
     # the exposure walk stops two prefixes below the head of a ring chain
     short, long = _splits_per_step(monkeypatch, 50), _splits_per_step(monkeypatch, 400)
@@ -344,3 +374,33 @@ def test_exposure_pruning_is_exact(monkeypatch) -> None:
                         seen.add(r.config)
                         nxt.append(r.config)
             frontier = nxt
+
+
+WALK_PINS = json.loads((Path(__file__).parent / "walk_pins.json").read_text())
+
+
+def _walk_traffic(prog, limit: int = 30) -> list:
+    """For each of the first `limit` states in breadth-first order: how many
+    com exposures the walk finds, and the reductions it leads to."""
+    start = ce.initial_configuration(prog)
+    seen, queue, out = {start}, deque([start]), []
+    while queue and len(out) < limit:
+        cfg = queue.popleft()
+        rs = ce.reductions(cfg, prog.connectors)
+        steps = [[r.kind, r.subject, r.branch, r.pre_state, r.post_state] for r in rs]
+        out.append([len(ce.head_exposures(cfg.chor)), steps])
+        for r in rs:
+            if r.config not in seen:
+                seen.add(r.config)
+                queue.append(r.config)
+    return out
+
+
+def test_walk_traffic_is_pinned() -> None:
+    # exposure counts and reduction order on every fixture, as recorded
+    # before com and cond exposures shared one walk rule
+    programs = {name: harness.load_program(name) for name in harness.list_fixtures(".cr")}
+    programs["DOUBLE_MERGE"] = textio.parse_program(DOUBLE_MERGE)
+    assert sorted(WALK_PINS) == sorted(programs)
+    for name, prog in programs.items():
+        assert _walk_traffic(prog) == WALK_PINS[name], name

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import choreo
@@ -41,3 +44,21 @@ def test_every_function_the_benchmark_tracer_wraps_exists() -> None:
             missing.append(f"{module}.{function}")
     assert len(targets.elts) > 1
     assert missing == []
+
+
+def test_benchmark_quick_run_is_correct() -> None:
+    # a change that breaks a name or shape the benchmark relies on shows up
+    # here, not only when the benchmark is next run; it writes only under the
+    # git-ignored perfbench/out/
+    root = Path(__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--quick"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
