@@ -6,10 +6,11 @@ replaced by fresh tokens, so verdicts hold for every initial store.  Each
 procedure gets one shared unknown connector-state, fixed at its first call
 and required (up to a consistent renaming of tokens) at every later call.
 The worklist always replaces an item by strictly smaller items under the
-stated size metric, which is asserted on every iteration; this is what makes
-the check terminate, and is also why transitions that consume no interaction
-(pure cell-to-cell moves) are skipped here: the runtime permits them, but
-following them would not shrink anything.
+size metric `core.size`, which is asserted on every iteration; this is what
+makes the check terminate, and is also why transitions that consume no
+interaction (pure cell-to-cell moves) are skipped here: the runtime permits
+them, but following them would not shrink anything.  The metric is cached on
+each node, so the assertion costs only the nodes a step built.
 
 A judgement is a procedure frame, a connector state and a choreography, and
 the worklist checks each distinct one once; the comment at its memo says why
@@ -36,11 +37,10 @@ from .core import (
     MemorySnapshot,
     Port,
     Prefix,
-    RecvSel,
-    RecvVal,
     Transition,
     Value,
     connectors_of,
+    size,
 )
 from .chor_engine import freeze_astate, head_exposures, match_constraint, normalize
 
@@ -126,22 +126,6 @@ class CompatNo:
 
 
 Verdict = Union[CompatYes, CompatNo]
-
-
-# ---------------------------------------------------------------------------
-# Size metric
-
-
-def size(c) -> int:
-    total = 1  # the End, Call, Cond or Def below the prefixes
-    while isinstance(c, Prefix):  # a loop: a long chain must not exhaust the stack
-        total += sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in c.etas)
-        c = c.cont
-    if isinstance(c, Cond):
-        return total + size(c.then_branch) + size(c.else_branch)
-    if isinstance(c, Def):
-        return total + size(c.body) + size(c.cont)
-    return total
 
 
 # ---------------------------------------------------------------------------

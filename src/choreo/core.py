@@ -314,6 +314,12 @@ END = End()
 # knows this at once, which lets `chor_engine.normalize` return such a term
 # as it is.  The constructors are written out because they run once per node
 # of every term an engine builds.
+#
+# Three more slots are filled on first request and kept: `_pn` (see
+# `known_pn`), `_size` (see `size`) and `_proj`, the map from a process to its
+# projected behaviour, which `epp.project_behaviour` makes and fills.  The map
+# starts as None rather than {}: most nodes an engine builds are never
+# projected.
 
 _set = object.__setattr__  # the nodes are frozen
 _UNSET = object()  # process set not computed yet
@@ -329,6 +335,8 @@ class Prefix:
     normal: bool = field(repr=False)
     _hash: int = field(repr=False)
     _pn: object = field(repr=False)
+    _size: "int | None" = field(repr=False)
+    _proj: "dict | None" = field(repr=False)
 
     def __init__(self, etas: frozenset[Interaction], connector: str, cont: "Choreography") -> None:
         _set(self, "etas", etas)
@@ -337,6 +345,8 @@ class Prefix:
         _set(self, "normal", bool(etas) and cont.normal)
         _set(self, "_hash", hash((etas, connector, cont)))
         _set(self, "_pn", _UNSET)
+        _set(self, "_size", None)
+        _set(self, "_proj", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -366,6 +376,8 @@ class Cond:
     normal: bool = field(repr=False)
     _hash: int = field(repr=False)
     _pn: object = field(repr=False)
+    _size: "int | None" = field(repr=False)
+    _proj: "dict | None" = field(repr=False)
 
     def __init__(
         self, process: str, guard: Expr, then_branch: "Choreography", else_branch: "Choreography"
@@ -377,6 +389,8 @@ class Cond:
         _set(self, "normal", then_branch.normal and else_branch.normal)
         _set(self, "_hash", hash((process, guard, then_branch, else_branch)))
         _set(self, "_pn", _UNSET)
+        _set(self, "_size", None)
+        _set(self, "_proj", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -402,6 +416,8 @@ class Def:
     cont: "Choreography"
     normal: bool = field(repr=False)
     _hash: int = field(repr=False)
+    _size: "int | None" = field(repr=False)
+    _proj: "dict | None" = field(repr=False)
 
     def __init__(self, name: str, body: "Choreography", cont: "Choreography") -> None:
         _set(self, "name", name)
@@ -409,6 +425,8 @@ class Def:
         _set(self, "cont", cont)
         _set(self, "normal", body.normal and cont.normal and cont is not END)
         _set(self, "_hash", hash((name, body, cont)))
+        _set(self, "_size", None)
+        _set(self, "_proj", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -461,6 +479,42 @@ def known_pn(c: Choreography) -> "frozenset[str] | None":
                 procs = procs | own
         _set(p, "_pn", procs)
     return procs
+
+
+def size(c: Choreography) -> int:
+    """The compatibility checker's termination metric: 2 for each full
+    interaction, 1 for each runtime receive term, and 1 for each End, Call,
+    Cond and Def.
+
+    Computed on first request and cached on each Prefix, Cond and Def, the way
+    `known_pn` is, so a term built on a tail whose size is known costs only
+    the nodes above that tail."""
+    spine: list[Prefix] = []
+    while c.__class__ is Prefix and c._size is None:
+        spine.append(c)
+        c = c.cont
+    if c.__class__ is Prefix:
+        total = c._size
+    elif c.__class__ is Cond:
+        total = c._size
+        if total is None:
+            total = 1 + size(c.then_branch) + size(c.else_branch)
+            _set(c, "_size", total)
+    elif c.__class__ is Def:
+        total = c._size
+        if total is None:
+            total = 1 + size(c.body) + size(c.cont)
+            _set(c, "_size", total)
+    else:
+        total = 1  # End, Call
+    for p in reversed(spine):
+        total += _etas_size(p.etas)
+        _set(p, "_size", total)
+    return total
+
+
+def _etas_size(etas: frozenset[Interaction]) -> int:
+    return sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in etas)
 
 
 def pn(c: Choreography) -> frozenset[str]:

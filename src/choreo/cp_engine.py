@@ -438,10 +438,6 @@ def cp_report_stuck(cfg: NetConfiguration, automata: ConnectorMapping) -> StuckR
 # Runtime ordering (pruning) and equivalence
 
 
-def _freeze_env(env: dict) -> tuple:
-    return tuple(sorted(env.items(), key=lambda kv: kv[0]))
-
-
 def behaviour_leq(b1: Behaviour, b2: Behaviour) -> bool:
     """b1 is b2 with some unused branch alternatives removed, compared up to
     unfolding of definitions.  Procedure names are resolved dynamically along
@@ -449,84 +445,99 @@ def behaviour_leq(b1: Behaviour, b2: Behaviour) -> bool:
     return _bleq(b1, {}, b2, {}, set())
 
 
+def _env_key(env: dict) -> tuple:
+    return tuple(sorted((name, id(body)) for name, body in env.items()))
+
+
 def _bleq(b1, env1: dict, b2, env2: dict, seen: set) -> bool:
-    key = (b1, _freeze_env(env1), b2, _freeze_env(env2))
-    if key in seen:
-        return True
-    seen.add(key)
-    if isinstance(b1, BDef):
-        e = dict(env1)
-        e[b1.name] = b1.body
-        return _bleq(b1.cont, e, b2, env2, seen)
-    if isinstance(b2, BDef):
-        e = dict(env2)
-        e[b2.name] = b2.body
-        return _bleq(b1, env1, b2.cont, e, seen)
-    if isinstance(b1, BCall) and b1.name in env1:
-        return _bleq(env1[b1.name], env1, b2, env2, seen)
-    if isinstance(b2, BCall) and b2.name in env2:
-        return _bleq(b1, env1, env2[b2.name], env2, seen)
-    if isinstance(b1, BCall) or isinstance(b2, BCall):
-        return (
-            isinstance(b1, BCall) and isinstance(b2, BCall) and b1.name == b2.name
-        )
-    if isinstance(b1, BEnd):
-        return isinstance(b2, BEnd)
-    if isinstance(b1, Send):
-        return (
-            isinstance(b2, Send)
-            and b1.port == b2.port
-            and expr_key(b1.expr) == expr_key(b2.expr)
-            and _bleq(b1.cont, env1, b2.cont, env2, seen)
-        )
-    if isinstance(b1, Recv):
-        return (
-            isinstance(b2, Recv)
-            and b1.port == b2.port
-            and b1.var == b2.var
-            and _bleq(b1.cont, env1, b2.cont, env2, seen)
-        )
-    if isinstance(b1, SelSend):
-        return (
-            isinstance(b2, SelSend)
-            and b1.port == b2.port
-            and b1.label == b2.label
-            and _bleq(b1.cont, env1, b2.cont, env2, seen)
-        )
-    if isinstance(b1, Branch):
-        if not (isinstance(b2, Branch) and b1.port == b2.port):
+    # a loop along action spines, and into the last case of a branch or
+    # conditional: a long behaviour must not exhaust the stack.  `seen` holds
+    # the pairs already assumed related, by object identity: equal behaviours
+    # may differ in the type of a constant (Const(1) == Const(True)), and all
+    # the objects stay alive for the walk, so their ids stay unique.
+    key1, key2 = _env_key(env1), _env_key(env2)
+    while True:
+        # a behaviour unfolds as itself: projection hands a successor the
+        # very tails the network is stepping through, so this ends most walks
+        if b1 is b2 and key1 == key2:
+            return True
+        key = (id(b1), key1, id(b2), key2)
+        if key in seen:
+            return True
+        seen.add(key)
+        if isinstance(b1, BDef):
+            env1 = dict(env1)
+            env1[b1.name] = b1.body
+            key1 = _env_key(env1)
+            b1 = b1.cont
+        elif isinstance(b2, BDef):
+            env2 = dict(env2)
+            env2[b2.name] = b2.body
+            key2 = _env_key(env2)
+            b2 = b2.cont
+        elif isinstance(b1, BCall) and b1.name in env1:
+            b1 = env1[b1.name]
+        elif isinstance(b2, BCall) and b2.name in env2:
+            b2 = env2[b2.name]
+        elif isinstance(b1, BCall) or isinstance(b2, BCall):
+            return isinstance(b1, BCall) and isinstance(b2, BCall) and b1.name == b2.name
+        elif isinstance(b1, BEnd):
+            return isinstance(b2, BEnd)
+        elif isinstance(b1, (Send, Recv, SelSend)):
+            if not (b2.__class__ is b1.__class__ and b1.port == b2.port and _same_action(b1, b2)):
+                return False
+            b1, b2 = b1.cont, b2.cont
+        elif isinstance(b1, Branch):
+            if not (isinstance(b2, Branch) and b1.port == b2.port):
+                return False
+            cases2 = b2.case_map()
+            if any(label not in cases2 for label, _ in b1.cases):
+                return False
+            for label, c1 in b1.cases[:-1]:
+                if not _bleq(c1, env1, cases2[label], env2, seen):
+                    return False
+            if not b1.cases:
+                return True
+            label, b1 = b1.cases[-1]
+            b2 = cases2[label]
+        elif isinstance(b1, BCond):
+            if not (isinstance(b2, BCond) and expr_key(b1.guard) == expr_key(b2.guard)):
+                return False
+            if not _bleq(b1.then_branch, env1, b2.then_branch, env2, seen):
+                return False
+            b1, b2 = b1.else_branch, b2.else_branch
+        else:
             return False
-        cases2 = b2.case_map()
-        for label, c1 in b1.cases:
-            if label not in cases2:
-                return False
-            if not _bleq(c1, env1, cases2[label], env2, seen):
-                return False
-        return True
-    if isinstance(b1, BCond):
-        return (
-            isinstance(b2, BCond)
-            and expr_key(b1.guard) == expr_key(b2.guard)
-            and _bleq(b1.then_branch, env1, b2.then_branch, env2, seen)
-            and _bleq(b1.else_branch, env1, b2.else_branch, env2, seen)
-        )
-    return False
+
+
+def _same_action(a1, a2) -> bool:
+    """a1 and a2, of one action class and port, do the same thing.
+    Expressions compare type-strictly: sending 1 is not sending true."""
+    if a1.__class__ is Send:
+        return expr_key(a1.expr) == expr_key(a2.expr)
+    if a1.__class__ is Recv:
+        return a1.var == a2.var
+    return a1.label == a2.label
+
+
+def _same_store(s1: tuple, s2: tuple) -> bool:
+    """Two frozen stores hold the same variables with the same values,
+    compared type-strictly: a variable holding 1 is not one holding true."""
+    return s1 == s2 and all(v1.__class__ is v2.__class__ for (_, v1), (_, v2) in zip(s1, s2))
 
 
 def pruning_leq(n1: Network, n2: Network) -> bool:
     """n1 is below n2 when every process of n1 appears in n2 with an equal
     store and a behaviour that extends it by unused branches only.  n2 may
     carry extra processes; those are the ones n1 has already finished or
-    never needed."""
-    m1 = normalize_network(n1).proc_map()
-    m2 = normalize_network(n2).proc_map()
-    for q, (store1, b1) in m1.items():
+    never needed.  Stores compare type-strictly."""
+    m2 = {q: (store, b) for q, store, b in normalize_network(n2).procs}
+    for q, store1, b1 in normalize_network(n1).procs:
         if q not in m2:
             return False
         store2, b2 = m2[q]
-        if store1 != store2:
+        if not _same_store(store1, store2):
             return False
         if not behaviour_leq(b1, b2):
             return False
     return True
-

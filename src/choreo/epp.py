@@ -393,16 +393,35 @@ def project_behaviour(c, r: str) -> Behaviour:
     (multicasts collapse to one output), or its single receive.  Conditionals
     at other processes are covered by merging both branch projections.  A
     prefix spine is projected in a loop, bottom-up.
-    """
+
+    The result is kept on each Prefix, Cond and Def node it is computed for,
+    in the node's `_proj` map, and nothing is kept when projection fails.  The
+    spine loop stops at the first node that already knows r's behaviour, so a
+    term built on a projected tail costs only the nodes above it, and its
+    projection ends in the very behaviour objects projected before.  The map
+    sits on the node rather than in a table keyed by equal terms, which would
+    confuse a term holding 1 with one holding true."""
     spine = []
-    while isinstance(c, core.Prefix):
+    b = _known_projection(c, r)
+    while b is None and isinstance(c, core.Prefix):
         spine.append(c)
         c = c.cont
+        b = _known_projection(c, r)
+    if b is None:
+        b = _project_node(c, r)
+    for p in reversed(spine):
+        b = _project_prefix(p, r, b)
+        _remember_projection(p, r, b)
+    return b
+
+
+def _project_node(c, r: str) -> Behaviour:
+    """Project the End, Call, Cond or Def at the foot of a prefix spine."""
     if isinstance(c, core.End):
-        b: Behaviour = BEND
-    elif isinstance(c, core.Call):
-        b = BCall(c.name)
-    elif isinstance(c, core.Def):
+        return BEND
+    if isinstance(c, core.Call):
+        return BCall(c.name)
+    if isinstance(c, core.Def):
         b = BDef(c.name, project_behaviour(c.body, r), project_behaviour(c.cont, r))
     elif c.process == r:
         b = BCond(c.guard, project_behaviour(c.then_branch, r), project_behaviour(c.else_branch, r))
@@ -411,9 +430,19 @@ def project_behaviour(c, r: str) -> Behaviour:
             b = merge(project_behaviour(c.then_branch, r), project_behaviour(c.else_branch, r))
         except MergeError as exc:
             raise Unprojectable(r, exc) from exc
-    for p in reversed(spine):
-        b = _project_prefix(p, r, b)
+    _remember_projection(c, r, b)
     return b
+
+
+def _known_projection(c, r: str) -> "Behaviour | None":
+    memo = getattr(c, "_proj", None)  # End and Call keep none
+    return None if memo is None else memo.get(r)
+
+
+def _remember_projection(c, r: str, b: Behaviour) -> None:
+    if c._proj is None:
+        _set(c, "_proj", {})
+    c._proj[r] = b
 
 
 def _project_prefix(c, r: str, cont: Behaviour) -> Behaviour:
@@ -454,7 +483,8 @@ def project_network(c, sigma: Mapping[tuple[str, str], Value]):
     from .cp_engine import Network
 
     procs: dict[str, tuple[dict[str, Value], Behaviour]] = {}
-    for r in sorted(pn(c)):
+    names = core.known_pn(c)
+    for r in sorted(pn(c) if names is None else names):
         store = {x: v for (p, x), v in sigma.items() if p == r}
         procs[r] = (store, project_behaviour(c, r))
     return Network.make(procs)

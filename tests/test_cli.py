@@ -170,6 +170,16 @@ def test_check_long_chain_from_a_file(tmp_path: Path, capsys) -> None:
     assert out.startswith("compatible")
 
 
+def test_correspond_long_chain_from_a_file(tmp_path: Path, capsys) -> None:
+    # projection is memoised on the choreography's nodes and the pruning
+    # order loops along action spines, so nothing recurses once per prefix
+    chain = tmp_path / "chain.cr"
+    chain.write_text(ring_chain(3000)[0])
+    code, out, err = _run(capsys, "correspond", str(chain), "--bound", "100000")
+    assert (code, err) == (0, "")
+    assert "no gaps found" in out
+
+
 CHECK_PINS = json.loads((Path(__file__).parent / "check_pins.json").read_text())
 
 

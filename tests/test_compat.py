@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from choreo import chor_engine as ce
-from choreo import compat, textio
+from choreo import compat, core, textio
 from choreo.core import (
     Call,
     Def,
@@ -18,7 +18,7 @@ from choreo.core import (
 )
 from choreo.harness import exhaustive_explore, load_automaton
 
-from conftest import load_expect, load_program, parallel_pairs
+from conftest import load_expect, load_program, parallel_pairs, ring_chain
 
 VERDICTS = [
     ("booksale.cr", True, None, None),
@@ -222,6 +222,43 @@ def test_termination_metric_assert_is_live(monkeypatch) -> None:
     monkeypatch.setattr(compat, "size", lambda c: 10**6)
     with pytest.raises(AssertionError):
         compat.check_compatibility(prog.main, prog.connectors)
+
+
+def _size_visits_per_call(monkeypatch, n: int) -> list[int]:
+    visits = [0]
+    per_call: list[int] = []
+    etas_size, size = core._etas_size, compat.size
+
+    def counted_etas_size(etas):
+        visits[0] += 1
+        return etas_size(etas)
+
+    def counted_size(c):
+        before = visits[0]
+        out = size(c)
+        per_call.append(visits[0] - before)
+        return out
+
+    prog = textio.parse_program(ring_chain(n)[0])
+    with monkeypatch.context() as m:
+        m.setattr(core, "_etas_size", counted_etas_size)
+        core.size(prog.main)
+        assert visits[0] == n  # the program's first size visits every prefix
+        m.setattr(compat, "size", counted_size)
+        verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert verdict.compatible
+    assert len(per_call) > verdict.judgements_checked > n
+    return per_call
+
+
+def test_size_visits_per_judgement_do_not_grow_with_the_chain(monkeypatch) -> None:
+    # a judgement asks for the size of its term and of each successor; the
+    # size is cached on every node, so a call visits only the prefixes the
+    # step built above a known tail, where the uncached metric walked the
+    # whole remaining term
+    short = _size_visits_per_call(monkeypatch, 50)
+    long = _size_visits_per_call(monkeypatch, 400)
+    assert max(short) == max(long) <= 1
 
 
 CONFLUENCE = [

@@ -6,7 +6,7 @@ from choreo import cp_engine as cpe
 from choreo import epp, harness, textio
 from choreo import chor_engine as ce
 from choreo.cli import _project
-from choreo.core import BOT, Constraint, Flow, Label, Mem, Port, Var
+from choreo.core import BOT, Const, Constraint, Flow, Label, Mem, Port, Var
 from choreo.epp import BCall, BDef, BEnd, Branch, PortName, Recv, SelSend, Send
 
 from conftest import fixture_text, load_program, ring_chain
@@ -142,6 +142,25 @@ def test_behaviour_leq_follows_recursion() -> None:
     assert not cpe.behaviour_leq(b1, other)
 
 
+def test_behaviour_leq_on_one_call_under_different_definitions() -> None:
+    # both sides reach the very same call object, but it names different bodies
+    call = BCall("X")
+    b1 = BDef("X", Send(O, Var("x"), BEnd()), call)
+    b2 = BDef("X", Send(O, Var("z"), BEnd()), call)
+    assert not cpe.behaviour_leq(b1, b2)
+    assert cpe.behaviour_leq(b1, BDef("X", Send(O, Var("x"), BEnd()), call))
+
+
+def test_behaviour_leq_keeps_constant_types_apart_across_cases() -> None:
+    # Send(O, 1) == Send(O, true) in Python, so a walk that remembered its
+    # pairs by equality took the second case as already related
+    one, true = Send(O, Const(1), BEnd()), Send(O, Const(True), BEnd())
+    b1 = Branch.make(I, {"l1": one, "l2": true})
+    b2 = Branch.make(I, {"l1": one, "l2": Send(O, Const(1), BEnd())})
+    assert not cpe.behaviour_leq(b1, b2)
+    assert cpe.behaviour_leq(b2, Branch.make(I, {"l1": one, "l2": one}))
+
+
 def test_pruning_leq_on_networks() -> None:
     n1 = _net(a=({}, Branch.make(I, {"buy": BEnd()})))
     n2 = _net(a=({}, Branch.make(I, {"buy": BEnd(), "quit": BEnd()})))
@@ -150,6 +169,51 @@ def test_pruning_leq_on_networks() -> None:
     # stores must agree exactly
     n3 = _net(a=({"x": 1}, Branch.make(I, {"buy": BEnd()})))
     assert not cpe.pruning_leq(n1, n3)
+
+
+def test_pruning_leq_compares_stores_type_strictly() -> None:
+    # a variable holding true is not one holding 1, though Python's == says so
+    prog = textio.parse_program(
+        fixture_text("buffer1.ca")
+        + "connectors { g: Buffer1[a/p1, b/p2]; }\n"
+        + "init { a.x = 1; }\n"
+        + "main { a.x -> b.y thru g; 0 }\n"
+    )
+    chor = ce.normalize(prog.main)
+    projected = epp.project_network(chor, {("a", "x"): 1})
+    with_true = epp.project_network(chor, {("a", "x"): True})
+    assert projected == with_true  # the lax comparison the order must not use
+    assert cpe.pruning_leq(projected, projected)
+    assert not cpe.pruning_leq(projected, with_true)
+    assert not cpe.pruning_leq(with_true, projected)
+
+
+def _action_chain(n: int, last) -> "epp.Behaviour":
+    # n actions cycling through every kind with one continuation, built
+    # from the end, with `last` as the final one
+    b = last
+    for i in range(n - 1):
+        kind = i % 4
+        if kind == 0:
+            b = Send(O, Var("x"), b)
+        elif kind == 1:
+            b = Recv(I, "y", b)
+        elif kind == 2:
+            b = SelSend(O, "go", b)
+        else:
+            b = Branch.make(I, {"go": b})
+    return b
+
+
+def test_behaviour_leq_loops_along_long_spines() -> None:
+    # separately built, so equal but not identical at every node
+    b1 = _action_chain(2000, Send(O, Var("x"), BEnd()))
+    b2 = _action_chain(2000, Send(O, Var("x"), BEnd()))
+    other = _action_chain(2000, Send(O, Var("z"), BEnd()))
+    assert b1 is not b2
+    assert cpe.behaviour_leq(b1, b2)
+    assert not cpe.behaviour_leq(b1, other)
+    assert not cpe.behaviour_leq(other, b1)
 
 
 def test_terminated_network_is_empty_after_normalization() -> None:

@@ -26,6 +26,7 @@ from choreo.epp import (
     project_behaviour,
     project_connectors,
 )
+from choreo import harness
 from choreo.harness import gen_random_program, load_automaton
 
 from conftest import load_program
@@ -190,3 +191,49 @@ def test_generated_programs_are_projectable() -> None:
     for i in range(40):
         prog = gen_random_program(random.Random(5000 + i))
         assert epp.projectable(ce.normalize(prog.main))
+
+
+def _projection_or_failure(cfg):
+    try:
+        return epp.project_network(ce.normalize(cfg.chor), cfg.sigma_map())
+    except Unprojectable as exc:
+        return str(exc)
+
+
+def test_memoised_projection_is_exact(monkeypatch) -> None:
+    # the same network, stores and value types included, as a projection that
+    # neither reads nor fills the `_proj` maps, on up to 60 breadth-first
+    # states of each program; the maps persist from state to state
+    programs = [harness.load_program(name) for name in harness.list_fixtures(".cr")]
+    programs += [gen_random_program(random.Random(seed)) for seed in range(300)]
+    states = 0
+    for prog in programs:
+        start = ce.initial_configuration(prog)
+        seen, frontier = {start}, [start]
+        while frontier and len(seen) < 60:
+            nxt = []
+            for cfg in frontier:
+                memo = _projection_or_failure(cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(epp, "_known_projection", lambda c, r: None)
+                    m.setattr(epp, "_remember_projection", lambda c, r, b: None)
+                    fresh = _projection_or_failure(cfg)
+                assert memo == fresh and repr(memo) == repr(fresh)
+                states += 1
+                for r in ce.reductions(cfg, prog.connectors):
+                    if r.config not in seen:
+                        seen.add(r.config)
+                        nxt.append(r.config)
+            frontier = nxt
+    assert states > 1000
+
+
+def test_projection_of_a_successor_ends_in_the_projected_tail() -> None:
+    prog = load_program("booksale.cr")
+    c = ce.normalize(prog.main)
+    before = {r: project_behaviour(c, r) for r in "abc"}
+    assert isinstance(c, Prefix)
+    # the tail was projected with its parent and is not projected again
+    for r, b in before.items():
+        tail = project_behaviour(c.cont, r)
+        assert tail is (b.cont if isinstance(b, (Send, Recv)) else b)

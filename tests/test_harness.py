@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 from choreo import chor_engine as ce
-from choreo import harness, textio
+from choreo import epp, harness, textio
 from choreo.cp_engine import pruning_leq
 from choreo.core import (
     BOT,
@@ -198,6 +198,48 @@ def test_pruning_leq_verdicts_are_shared_between_directions(monkeypatch) -> None
     report = correspondence_check(textio.parse_program(ring_chain(40)[0]), bound=1000)
     assert (report.pairs_checked, report.gaps, report.truncated) == (59, [], False)
     assert len(calls) <= 116 // 2
+
+
+def _projection_calls_per_pair(monkeypatch, n: int) -> list[int]:
+    calls = [0]
+    per_pair: list[int] = []
+    project_prefix, search = epp._project_prefix, harness.search
+
+    def counted_prefix(c, r, cont):
+        calls[0] += 1
+        return project_prefix(c, r, cont)
+
+    def outer_search(start, successors, depth, *args, **kwargs):
+        # the pair search is the outermost one; the matchers' completion
+        # searches run inside its successor function
+        def counted(pair):
+            before = calls[0]
+            with monkeypatch.context() as m:
+                m.setattr(harness, "search", search)
+                out = successors(pair)
+            per_pair.append(calls[0] - before)
+            return out
+
+        return search(start, counted, depth, *args, **kwargs)
+
+    prog = textio.parse_program(ring_chain(n)[0])
+    with monkeypatch.context() as m:
+        m.setattr(epp, "_project_prefix", counted_prefix)
+        m.setattr(harness, "search", outer_search)
+        report = correspondence_check(prog, bound=10 * n)
+    assert (report.gaps, report.truncated) == ([], False)
+    assert calls[0] >= 3 * n  # the initial projection is counted, so the count works
+    return per_pair
+
+
+def test_correspondence_pair_cost_does_not_grow_with_chain_length(monkeypatch) -> None:
+    # a pair projects only the prefixes its steps built above the projected
+    # tail, once per process; re-projecting the whole remaining chain took
+    # 3 * 50 and 3 * 400 calls at the first pair
+    short = _projection_calls_per_pair(monkeypatch, 50)
+    long = _projection_calls_per_pair(monkeypatch, 400)
+    assert len(long) > 400
+    assert max(short) == max(long) <= 3
 
 
 def test_advance_until_connector_stops_at_the_right_prefix() -> None:
