@@ -510,7 +510,12 @@ def exposures(
         # before any merge there.  A cond exposure's process lies in pn(c)
         # and is blocked the same way.  Covering by all enclosing prefixes
         # would not be exact: a second merge, at P2, may keep only members
-        # of P1, and then nothing above need block the set.
+        # of P1, and then nothing above need block the set.  `known_pn(c)`
+        # holds every process an exposure from c can name.  With no free
+        # call in c, each call the walk unfolds below c is bound by a def
+        # inside c: the walk passed that def, or unfolded the body holding
+        # it, before it met the call.  So every set and guard it exposes
+        # lies in c.procs.
         etas, gamma, cont = c.etas, c.connector, c.cont
         my_pn = pn_etas(etas)
         if my_pn <= blocked:  # only then can the whole of c be covered

@@ -21,7 +21,7 @@ import sys
 from . import chor_engine, compat, cp_engine, epp, textio
 from .chor_engine import initial_configuration
 from .lts import Outcome
-from .core import InputError, pn
+from .core import InputError
 
 
 def _read(path: str) -> str:
@@ -141,7 +141,7 @@ def cmd_validate(args) -> int:
             )
         return 0
     prog = textio.parse_program(_read(args.path), runtime=args.runtime)
-    procs = sorted(pn(prog.main))
+    procs = sorted(prog.main.procs)
     conns = sorted(prog.connectors)
     if args.json:
         _emit(

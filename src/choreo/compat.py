@@ -9,8 +9,8 @@ The worklist always replaces an item by strictly smaller items under the
 size metric `core.size`, which is asserted on every iteration; this is what
 makes the check terminate, and is also why transitions that consume no
 interaction (pure cell-to-cell moves) are skipped here: the runtime permits
-them, but following them would not shrink anything.  The metric is cached on
-each node, so the assertion costs only the nodes a step built.
+them, but following them would not shrink anything.  Every node works its
+metric out when it is built, so the assertion reads one field.
 
 A judgement is a procedure frame, a connector state and a choreography, and
 the worklist checks each distinct one once; the comment at its memo says why
@@ -39,7 +39,6 @@ from .core import (
     Prefix,
     Transition,
     Value,
-    connectors_of,
     size,
 )
 from .chor_engine import freeze_astate, head_exposures, match_constraint, normalize
@@ -132,26 +131,11 @@ Verdict = Union[CompatYes, CompatNo]
 # Preconditions
 
 
-def _calls_in(c, name: str) -> int:
-    """Occurrences of Call(name) in c, not counting any under a rebinding."""
-    while isinstance(c, Prefix):
-        c = c.cont
-    if isinstance(c, Call):
-        return 1 if c.name == name else 0
-    if isinstance(c, Cond):
-        return _calls_in(c.then_branch, name) + _calls_in(c.else_branch, name)
-    if isinstance(c, Def):
-        if c.name == name:
-            return 0
-        return _calls_in(c.body, name) + _calls_in(c.cont, name)
-    return 0
-
-
 def _check_defs_called(c) -> None:
     while isinstance(c, Prefix):
         c = c.cont
     if isinstance(c, Def):
-        if _calls_in(c.cont, c.name) == 0:
+        if c.name not in c.cont.calls:
             raise InputError(
                 f"procedure {c.name} is never called outside its own body"
             )
@@ -162,19 +146,6 @@ def _check_defs_called(c) -> None:
         _check_defs_called(c.else_branch)
 
 
-def _called_names(c, bound: frozenset = frozenset()) -> set[str]:
-    while isinstance(c, Prefix):
-        c = c.cont
-    if isinstance(c, Call):
-        return set() if c.name in bound else {c.name}
-    if isinstance(c, Cond):
-        return _called_names(c.then_branch, bound) | _called_names(c.else_branch, bound)
-    if isinstance(c, Def):
-        b = bound | {c.name}
-        return _called_names(c.body, b) | _called_names(c.cont, b)
-    return set()
-
-
 def _relevant_connectors(body, gamma: tuple) -> frozenset[str]:
     """Connectors a procedure can ever touch: those of its body and of every
     procedure it can reach through calls."""
@@ -183,8 +154,8 @@ def _relevant_connectors(body, gamma: tuple) -> frozenset[str]:
     stack = [body]
     while stack:
         b = stack.pop()
-        out |= connectors_of(b)
-        for name in _called_names(b):
+        out |= b.conns
+        for name in b.calls:
             if name in seen:
                 continue
             seen.add(name)
@@ -245,7 +216,7 @@ def check_compatibility(
     """
     c = normalize(c)
     _check_defs_called(c)
-    missing = sorted(connectors_of(c) - set(g))
+    missing = sorted(c.conns - set(g))
     if missing:
         raise InputError("undefined connectors: " + ", ".join(missing))
     if a0 is None:

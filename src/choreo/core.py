@@ -8,6 +8,7 @@ downstream (parser, engines, projection) relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 
@@ -110,16 +111,6 @@ UNARY_OPS = ("not",)
 BINARY_OPS = ("+", "-", "=", "!=", "<", "and", "or")
 
 
-def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, UnOp):
-        return free_vars(e.operand)
-    return free_vars(e.left) | free_vars(e.right)
-
-
 def expr_key(e: Expr) -> tuple:
     if isinstance(e, Const):
         return ("c", value_key(e.value))
@@ -184,10 +175,6 @@ class RecvSel:
 Interaction = Union[ValCom, Sel, RecvVal, RecvSel]
 
 
-def receiver_of(eta: Interaction) -> str:
-    return eta.receiver
-
-
 def sender_of(eta: Interaction) -> "str | None":
     if isinstance(eta, (ValCom, Sel)):
         return eta.sender
@@ -232,7 +219,7 @@ def validate_interaction_set(etas: Iterable[Interaction]) -> list[str]:
     problems: list[str] = []
     seen_receivers: set[str] = set()
     for eta in sorted_etas(etas):
-        r = receiver_of(eta)
+        r = eta.receiver
         if r in seen_receivers:
             problems.append(f"receiver {r} appears in more than one interaction")
         seen_receivers.add(r)
@@ -287,6 +274,8 @@ class End:
 
     _instance: "End | None" = None
     normal = True  # see Prefix
+    procs = calls = conns = frozenset()
+    size = 1
 
     def __new__(cls) -> "End":
         if cls._instance is None:
@@ -306,23 +295,54 @@ class End:
 END = End()
 
 
-# Prefix, Cond and Def compute their hash once, at construction, from their
-# children's cached hashes (the tuple hash of their fields, as a dataclass
-# would compute it), so hashing a term costs O(1) however long it is.
-# `normal` records whether the node is in normal form: no empty interaction
-# set and no def whose scope has ended.  A node built from normal children
-# knows this at once, which lets `chor_engine.normalize` return such a term
-# as it is.  The constructors are written out because they run once per node
-# of every term an engine builds.
+# Prefix, Cond and Def compute their hash and four syntactic facts once, at
+# construction, from their children's, so reading any of them costs O(1)
+# however long the term is:
+#   `procs`  the processes the term names, conditional guards included;
+#   `calls`  its free procedure calls (a def removes its own name);
+#   `conns`  the connectors its interactions go through;
+#   `size`   the compatibility checker's termination metric: 2 for each full
+#            interaction, 1 for each runtime receive term, and 1 for each
+#            End, Call, Cond and Def.
+# A set that a child's already holds is shared, not copied, so on a chain or a
+# loop most nodes allocate none, and equal prefixes share theirs (see
+# `_prefix_facts`).  The hash is the tuple hash of the node's fields, as a
+# dataclass would compute it.  `normal` records whether the node
+# is in normal form: no empty interaction set and no def whose scope has
+# ended.  A node built from normal children knows this at once, which lets
+# `chor_engine.normalize` return such a term as it is.  The constructors are
+# written out because they run once per node of every term an engine builds.
 #
-# Three more slots are filled on first request and kept: `_pn` (see
-# `known_pn`), `_size` (see `size`) and `_proj`, the map from a process to its
-# projected behaviour, which `epp.project_behaviour` makes and fills.  The map
-# starts as None rather than {}: most nodes an engine builds are never
-# projected.
+# `_proj` is the map from a process to its projected behaviour, which
+# `epp.project_behaviour` makes and fills.  It starts as None rather than {}:
+# most nodes an engine builds are never projected.
 
 _set = object.__setattr__  # the nodes are frozen
-_UNSET = object()  # process set not computed yet
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, sharing an operand that already holds the other."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+@lru_cache(maxsize=512)
+def _prefix_facts(
+    etas: frozenset[Interaction], connector: str, procs: frozenset[str], conns: frozenset[str]
+) -> tuple[frozenset[str], frozenset[str], int]:
+    """The procs, conns and size of etas thru connector, for a continuation
+    with the given procs and conns, less the continuation's size.
+
+    Cached, so that equal prefixes share their sets: a search rebuilds equal
+    prefixes on every path to a state, and where each prefix adds processes
+    (k independent pairs) fresh sets would cost O(k) time and memory each."""
+    own = pn_etas(etas)
+    if not own <= procs:
+        procs = procs | own
+    if connector not in conns:
+        conns = conns | {connector}
+    return procs, conns, sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in etas)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -334,8 +354,10 @@ class Prefix:
     cont: "Choreography"
     normal: bool = field(repr=False)
     _hash: int = field(repr=False)
-    _pn: object = field(repr=False)
-    _size: "int | None" = field(repr=False)
+    procs: frozenset[str] = field(repr=False)
+    calls: frozenset[str] = field(repr=False)
+    conns: frozenset[str] = field(repr=False)
+    size: int = field(repr=False)
     _proj: "dict | None" = field(repr=False)
 
     def __init__(self, etas: frozenset[Interaction], connector: str, cont: "Choreography") -> None:
@@ -344,8 +366,11 @@ class Prefix:
         _set(self, "cont", cont)
         _set(self, "normal", bool(etas) and cont.normal)
         _set(self, "_hash", hash((etas, connector, cont)))
-        _set(self, "_pn", _UNSET)
-        _set(self, "_size", None)
+        procs, conns, size = _prefix_facts(etas, connector, cont.procs, cont.conns)
+        _set(self, "procs", procs)
+        _set(self, "calls", cont.calls)
+        _set(self, "conns", conns)
+        _set(self, "size", cont.size + size)
         _set(self, "_proj", None)
 
     def __hash__(self) -> int:
@@ -375,8 +400,10 @@ class Cond:
     else_branch: "Choreography"
     normal: bool = field(repr=False)
     _hash: int = field(repr=False)
-    _pn: object = field(repr=False)
-    _size: "int | None" = field(repr=False)
+    procs: frozenset[str] = field(repr=False)
+    calls: frozenset[str] = field(repr=False)
+    conns: frozenset[str] = field(repr=False)
+    size: int = field(repr=False)
     _proj: "dict | None" = field(repr=False)
 
     def __init__(
@@ -388,8 +415,11 @@ class Cond:
         _set(self, "else_branch", else_branch)
         _set(self, "normal", then_branch.normal and else_branch.normal)
         _set(self, "_hash", hash((process, guard, then_branch, else_branch)))
-        _set(self, "_pn", _UNSET)
-        _set(self, "_size", None)
+        procs = _union(then_branch.procs, else_branch.procs)
+        _set(self, "procs", procs if process in procs else procs | {process})
+        _set(self, "calls", _union(then_branch.calls, else_branch.calls))
+        _set(self, "conns", _union(then_branch.conns, else_branch.conns))
+        _set(self, "size", 1 + then_branch.size + else_branch.size)
         _set(self, "_proj", None)
 
     def __hash__(self) -> int:
@@ -416,7 +446,10 @@ class Def:
     cont: "Choreography"
     normal: bool = field(repr=False)
     _hash: int = field(repr=False)
-    _size: "int | None" = field(repr=False)
+    procs: frozenset[str] = field(repr=False)
+    calls: frozenset[str] = field(repr=False)
+    conns: frozenset[str] = field(repr=False)
+    size: int = field(repr=False)
     _proj: "dict | None" = field(repr=False)
 
     def __init__(self, name: str, body: "Choreography", cont: "Choreography") -> None:
@@ -425,7 +458,11 @@ class Def:
         _set(self, "cont", cont)
         _set(self, "normal", body.normal and cont.normal and cont is not END)
         _set(self, "_hash", hash((name, body, cont)))
-        _set(self, "_size", None)
+        _set(self, "procs", _union(body.procs, cont.procs))
+        calls = _union(body.calls, cont.calls)
+        _set(self, "calls", calls - {name} if name in calls else calls)
+        _set(self, "conns", _union(body.conns, cont.conns))
+        _set(self, "size", 1 + body.size + cont.size)
         _set(self, "_proj", None)
 
     def __hash__(self) -> int:
@@ -445,119 +482,29 @@ class Def:
 @dataclass(frozen=True, slots=True)
 class Call:
     name: str
-    normal = True  # a class attribute, not a field; see Prefix
+    calls: frozenset[str] = field(init=False, repr=False, compare=False)
+    # class attributes, not fields; see Prefix
+    normal = True
+    procs = conns = frozenset()
+    size = 1
+
+    def __post_init__(self) -> None:
+        _set(self, "calls", frozenset((self.name,)))
 
 
 Choreography = Union[Prefix, Cond, Def, Call, End]
 
 
 def known_pn(c: Choreography) -> "frozenset[str] | None":
-    """Processes occurring in c, or None when c holds a Call or a Def:
-    unfolding a call can bring any process to the head.
-
-    Computed on first request and cached on each Prefix and Cond, walking a
-    Prefix spine in a loop down to the first node that already knows its set.
-    """
-    spine: list[Prefix] = []
-    while isinstance(c, Prefix) and c._pn is _UNSET:
-        spine.append(c)
-        c = c.cont
-    if isinstance(c, (Prefix, Cond)) and c._pn is not _UNSET:
-        procs = c._pn
-    elif isinstance(c, Cond):
-        then, other = known_pn(c.then_branch), known_pn(c.else_branch)
-        procs = None if then is None or other is None else then | other | {c.process}
-        _set(c, "_pn", procs)
-    elif isinstance(c, End):
-        procs = frozenset()
-    else:
-        procs = None  # Call, Def
-    for p in reversed(spine):
-        if procs is not None:
-            own = pn_etas(p.etas)
-            if not own <= procs:
-                procs = procs | own
-        _set(p, "_pn", procs)
-    return procs
+    """The processes c can ever bring to the head, or None when c calls a
+    procedure it does not define: unfolding that call can bring any process
+    to the head."""
+    return None if c.calls else c.procs
 
 
 def size(c: Choreography) -> int:
-    """The compatibility checker's termination metric: 2 for each full
-    interaction, 1 for each runtime receive term, and 1 for each End, Call,
-    Cond and Def.
-
-    Computed on first request and cached on each Prefix, Cond and Def, the way
-    `known_pn` is, so a term built on a tail whose size is known costs only
-    the nodes above that tail."""
-    spine: list[Prefix] = []
-    while c.__class__ is Prefix and c._size is None:
-        spine.append(c)
-        c = c.cont
-    if c.__class__ is Prefix:
-        total = c._size
-    elif c.__class__ is Cond:
-        total = c._size
-        if total is None:
-            total = 1 + size(c.then_branch) + size(c.else_branch)
-            _set(c, "_size", total)
-    elif c.__class__ is Def:
-        total = c._size
-        if total is None:
-            total = 1 + size(c.body) + size(c.cont)
-            _set(c, "_size", total)
-    else:
-        total = 1  # End, Call
-    for p in reversed(spine):
-        total += _etas_size(p.etas)
-        _set(p, "_size", total)
-    return total
-
-
-def _etas_size(etas: frozenset[Interaction]) -> int:
-    return sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in etas)
-
-
-def pn(c: Choreography) -> frozenset[str]:
-    """Process names occurring anywhere in c, conditional guards included."""
-    spine: set[str] = set()
-    while isinstance(c, Prefix):  # a loop: a long chain must not exhaust the stack
-        spine |= pn_etas(c.etas)
-        c = c.cont
-    if spine:
-        return frozenset(spine) | pn(c)
-    if isinstance(c, End):
-        return frozenset()
-    if isinstance(c, Call):
-        return frozenset()
-    if isinstance(c, Cond):
-        return frozenset({c.process}) | pn(c.then_branch) | pn(c.else_branch)
-    return pn(c.body) | pn(c.cont)
-
-
-def connectors_of(c: Choreography) -> frozenset[str]:
-    names: set[str] = set()
-    while isinstance(c, Prefix):  # a loop: a long chain must not exhaust the stack
-        names.add(c.connector)
-        c = c.cont
-    if isinstance(c, Cond):
-        names |= connectors_of(c.then_branch) | connectors_of(c.else_branch)
-    elif isinstance(c, Def):
-        names |= connectors_of(c.body) | connectors_of(c.cont)
-    return frozenset(names)
-
-
-def check_closed(c: Choreography, bound: frozenset[str] = frozenset()) -> list[str]:
-    """Every Call must sit in the scope of a matching Def."""
-    while isinstance(c, Prefix):
-        c = c.cont
-    if isinstance(c, Call):
-        return [] if c.name in bound else [f"call of undefined procedure {c.name}"]
-    if isinstance(c, Cond):
-        return check_closed(c.then_branch, bound) + check_closed(c.else_branch, bound)
-    if isinstance(c, Def):
-        inner = bound | {c.name}
-        return check_closed(c.body, inner) + check_closed(c.cont, inner)
-    return []
+    """The compatibility checker's termination metric (see Prefix)."""
+    return c.size
 
 
 # ---------------------------------------------------------------------------

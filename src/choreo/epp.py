@@ -17,7 +17,6 @@ from .core import (
     Sel,
     ValCom,
     Value,
-    pn,
     sorted_etas,
 )
 from . import core
@@ -470,7 +469,7 @@ def projectable(c) -> bool:
     """Whether every process of c has a defined projection.  This never looks
     at any store, so the answer is the same for every initial state."""
     try:
-        for r in sorted(pn(c)):
+        for r in sorted(c.procs):
             project_behaviour(c, r)
         return True
     except Unprojectable:
@@ -483,8 +482,7 @@ def project_network(c, sigma: Mapping[tuple[str, str], Value]):
     from .cp_engine import Network
 
     procs: dict[str, tuple[dict[str, Value], Behaviour]] = {}
-    names = core.known_pn(c)
-    for r in sorted(pn(c) if names is None else names):
+    for r in sorted(c.procs):
         store = {x: v for (p, x), v in sigma.items() if p == r}
         procs[r] = (store, project_behaviour(c, r))
     return Network.make(procs)

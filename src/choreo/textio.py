@@ -57,8 +57,6 @@ from .core import (
     ValCom,
     Value,
     Var,
-    check_closed,
-    connectors_of,
     desugar_multicast,
     eta_key,
     instantiate,
@@ -125,7 +123,12 @@ def _tokenize(src: str) -> list[_Tok]:
             if j >= n:
                 raise ParseError("unterminated string", line, col)
             toks.append(_Tok("string", "".join(buf), line, col))
-            col += j + 1 - i
+            breaks = src.count("\n", i, j)
+            if breaks:  # a raw newline inside the literal
+                line += breaks
+                col = j - src.rindex("\n", i, j) + 1
+            else:
+                col += j + 1 - i
             i = j + 1
             continue
         if ch.isdigit():
@@ -284,25 +287,13 @@ class _Parser:
         name = self.ident("automaton name")
         self.eat_sym("{")
         self.eat_word("states")
-        states = [self.name_or_number("state")]
-        while self.at_sym(","):
-            self.next()
-            states.append(self.name_or_number("state"))
-        self.eat_sym(";")
+        states = self._names(self.name_or_number, "state")
         self.eat_word("ports")
-        ports = [self.ident("port")]
-        while self.at_sym(","):
-            self.next()
-            ports.append(self.ident("port"))
-        self.eat_sym(";")
+        ports = self._names(self.ident, "port")
         mems: list[str] = []
         if self.at_word("mems"):
             self.next()
-            mems.append(self.ident("cell"))
-            while self.at_sym(","):
-                self.next()
-                mems.append(self.ident("cell"))
-            self.eat_sym(";")
+            mems = self._names(self.ident, "cell")
         self.eat_word("init")
         init_state = self.name_or_number("state")
         init_mem: dict[str, Value] = {}
@@ -349,6 +340,33 @@ class _Parser:
             transitions.append(Transition(src, Constraint(frozenset(flows)), dst))
         self.eat_sym("}")
         return ConstraintAutomaton.make(name, states, ports, mems, transitions, init_state, init_mem)
+
+    def _names(self, read, what: str) -> list[str]:
+        """A comma-separated list of names, each read by `read(what)`, and
+        the ';' that ends it."""
+        names = [read(what)]
+        while self.at_sym(","):
+            self.next()
+            names.append(read(what))
+        self.eat_sym(";")
+        return names
+
+    def init_block(self) -> list[tuple[str, str, Value]]:
+        """`init { owner.slot = literal; ... }` as (owner, slot, value)
+        triples, in order.  The owner is a process or a connector; the caller
+        tells them apart."""
+        self.eat_word("init")
+        self.eat_sym("{")
+        out: list[tuple[str, str, Value]] = []
+        while not self.at_sym("}"):
+            owner = self.ident("process or connector")
+            self.eat_sym(".")
+            slot = self.ident("variable or cell")
+            self.eat_sym("=")
+            out.append((owner, slot, self.literal()))
+            self.eat_sym(";")
+        self.eat_sym("}")
+        return out
 
     # -- choreographies ----------------------------------------------------
 
@@ -563,22 +581,13 @@ def parse_program(src: str, runtime: bool = False) -> Program:
             raise ParseError(f"connector {gamma} bound twice", gamma_tok.line, gamma_tok.col)
         bindings[gamma] = (template, subst)
     p.eat_sym("}")
-    p.eat_word("init")
-    p.eat_sym("{")
     init_sigma: dict[tuple[str, str], Value] = {}
     mem_overrides: dict[tuple[str, str], Value] = {}
-    while not p.at_sym("}"):
-        owner = p.ident("process or connector")
-        p.eat_sym(".")
-        slot = p.ident("variable or cell")
-        p.eat_sym("=")
-        v = p.literal()
-        p.eat_sym(";")
+    for owner, slot, v in p.init_block():
         if owner in bindings:
             mem_overrides[(owner, slot)] = v
         else:
             init_sigma[(owner, slot)] = v
-    p.eat_sym("}")
     p.eat_word("main")
     p.eat_sym("{")
     main = p.chor(runtime)
@@ -595,10 +604,9 @@ def parse_program(src: str, runtime: bool = False) -> Program:
             raise InputError(f"connector {gamma} has no cell named {', '.join(sorted(unknown))}")
         connectors[gamma] = _with_cells(inst, over)
 
-    problems = check_closed(main)
-    if problems:
-        raise InputError("; ".join(problems))
-    missing = sorted(connectors_of(main) - set(connectors))
+    if main.calls:
+        raise InputError("; ".join(f"call of undefined procedure {n}" for n in sorted(main.calls)))
+    missing = sorted(main.conns - set(connectors))
     if missing:
         raise InputError("undefined connectors: " + ", ".join(missing))
     return Program(automata, bindings, connectors, init_sigma, mem_overrides, main)
@@ -620,22 +628,13 @@ def parse_automaton(src: str) -> ConstraintAutomaton:
 def parse_cp(src: str) -> "cp_engine.CpProgram":
     p = _Parser(src)
     automata = _automata(p)
-    p.eat_word("init")
-    p.eat_sym("{")
     stores: dict[str, dict[str, Value]] = {}
     overrides: dict[tuple[str, str], Value] = {}
-    while not p.at_sym("}"):
-        owner = p.ident("process or connector")
-        p.eat_sym(".")
-        slot = p.ident("variable or cell")
-        p.eat_sym("=")
-        v = p.literal()
-        p.eat_sym(";")
+    for owner, slot, v in p.init_block():
         if owner in automata:
             overrides[(owner, slot)] = v
         else:
             stores.setdefault(owner, {})[slot] = v
-    p.eat_sym("}")
     p.eat_word("network")
     p.eat_sym("{")
     procs: dict[str, "epp.Behaviour"] = {}

@@ -227,11 +227,11 @@ def test_termination_metric_assert_is_live(monkeypatch) -> None:
 def _size_visits_per_call(monkeypatch, n: int) -> list[int]:
     visits = [0]
     per_call: list[int] = []
-    etas_size, size = core._etas_size, compat.size
+    prefix_facts, size = core._prefix_facts, compat.size
 
-    def counted_etas_size(etas):
+    def counted_prefix_facts(*args):
         visits[0] += 1
-        return etas_size(etas)
+        return prefix_facts(*args)
 
     def counted_size(c):
         before = visits[0]
@@ -239,11 +239,12 @@ def _size_visits_per_call(monkeypatch, n: int) -> list[int]:
         per_call.append(visits[0] - before)
         return out
 
-    prog = textio.parse_program(ring_chain(n)[0])
     with monkeypatch.context() as m:
-        m.setattr(core, "_etas_size", counted_etas_size)
+        m.setattr(core, "_prefix_facts", counted_prefix_facts)
+        prog = textio.parse_program(ring_chain(n)[0])
+        assert visits[0] == n  # each prefix is measured once, when it is built
         core.size(prog.main)
-        assert visits[0] == n  # the program's first size visits every prefix
+        assert visits[0] == n
         m.setattr(compat, "size", counted_size)
         verdict = compat.check_compatibility(prog.main, prog.connectors)
     assert verdict.compatible
@@ -252,13 +253,12 @@ def _size_visits_per_call(monkeypatch, n: int) -> list[int]:
 
 
 def test_size_visits_per_judgement_do_not_grow_with_the_chain(monkeypatch) -> None:
-    # a judgement asks for the size of its term and of each successor; the
-    # size is cached on every node, so a call visits only the prefixes the
-    # step built above a known tail, where the uncached metric walked the
-    # whole remaining term
+    # a judgement asks for the size of its term and of each successor; every
+    # node works its size out when it is built, so a call visits no prefix at
+    # all, where the uncached metric walked the whole remaining term
     short = _size_visits_per_call(monkeypatch, 50)
     long = _size_visits_per_call(monkeypatch, 400)
-    assert max(short) == max(long) <= 1
+    assert max(short) == max(long) == 0
 
 
 CONFLUENCE = [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from choreo.core import (
@@ -24,16 +26,21 @@ from choreo.core import (
     Transition,
     ValCom,
     Var,
-    check_closed,
-    connectors_of,
     desugar_multicast,
     instantiate,
-    pn,
+    known_pn,
     sorted_etas,
     validate_automaton,
     validate_interaction_set,
 )
-from choreo.harness import load_automaton
+from choreo.chor_engine import initial_configuration
+from choreo.harness import (
+    exhaustive_explore,
+    gen_random_program,
+    list_fixtures,
+    load_automaton,
+    load_program,
+)
 
 
 def test_label_never_equals_string() -> None:
@@ -103,13 +110,64 @@ def test_pn_and_connectors_walk_the_whole_tree() -> None:
         Prefix(frozenset({Sel("a", "b", "go")}), "g1", Call("X")),
         Cond("d", Const(True), Prefix(frozenset({Sel("a", "c", "go")}), "g2", END), END),
     )
-    assert pn(c) == frozenset({"a", "b", "c", "d"})
-    assert connectors_of(c) == frozenset({"g1", "g2"})
+    assert c.procs == frozenset({"a", "b", "c", "d"})
+    assert c.conns == frozenset({"g1", "g2"})
 
 
 def test_check_closed_flags_free_calls() -> None:
-    assert check_closed(Call("X")) == ["call of undefined procedure X"]
-    assert check_closed(Def("X", Call("X"), Call("X"))) == []
+    assert Call("X").calls == frozenset({"X"})
+    assert Def("X", Call("X"), Call("X")).calls == frozenset()
+
+
+def _reference_facts(c) -> tuple:
+    """procs, calls, conns and size of c, by a plain recursive walk."""
+    if isinstance(c, End):
+        return frozenset(), frozenset(), frozenset(), 1
+    if isinstance(c, Call):
+        return frozenset(), frozenset({c.name}), frozenset(), 1
+    if isinstance(c, Prefix):
+        procs, calls, conns, size = _reference_facts(c.cont)
+        for eta in c.etas:
+            procs |= {eta.receiver}
+            if isinstance(eta, (ValCom, Sel)):
+                procs |= {eta.sender}
+            size += 2 if isinstance(eta, (ValCom, Sel)) else 1
+        return procs, calls, conns | {c.connector}, size
+    if isinstance(c, Cond):
+        p1, k1, n1, s1 = _reference_facts(c.then_branch)
+        p2, k2, n2, s2 = _reference_facts(c.else_branch)
+        return p1 | p2 | {c.process}, k1 | k2, n1 | n2, 1 + s1 + s2
+    p1, k1, n1, s1 = _reference_facts(c.body)
+    p2, k2, n2, s2 = _reference_facts(c.cont)
+    return p1 | p2, (k1 | k2) - {c.name}, n1 | n2, 1 + s1 + s2
+
+
+def _subterms(c):
+    yield c
+    if isinstance(c, Prefix):
+        yield from _subterms(c.cont)
+    elif isinstance(c, Cond):
+        yield from _subterms(c.then_branch)
+        yield from _subterms(c.else_branch)
+    elif isinstance(c, Def):
+        yield from _subterms(c.body)
+        yield from _subterms(c.cont)
+
+
+def test_node_facts_agree_with_a_reference_walk() -> None:
+    programs = [load_program(name) for name in list_fixtures(".cr")]
+    programs += [gen_random_program(random.Random(seed)) for seed in range(300)]
+    for prog in programs:
+        reached = exhaustive_explore(initial_configuration(prog), prog.connectors, 8).nodes
+        for chor in {prog.main} | {cfg.chor for cfg in reached}:
+            for c in _subterms(chor):
+                assert (c.procs, c.calls, c.conns, c.size) == _reference_facts(c)
+
+
+def test_known_pn_knows_a_closed_def() -> None:
+    body = Prefix(frozenset({Sel("a", "b", "go")}), "g", Call("X"))
+    assert known_pn(Def("X", body, Call("X"))) == frozenset({"a", "b"})
+    assert known_pn(body) is None
 
 
 def test_sorted_etas_is_deterministic() -> None:

@@ -16,8 +16,6 @@ from choreo.core import (
     Sel,
     ValCom,
     Var,
-    connectors_of,
-    pn,
     validate_automaton,
 )
 from choreo.harness import (
@@ -124,8 +122,8 @@ def test_generator_is_deterministic_and_bounded() -> None:
     assert p1.connectors.keys() == p2.connectors.keys()
     for i in range(60):
         prog = gen_random_program(random.Random(9000 + i))
-        assert len(pn(prog.main)) <= 3
-        assert len(connectors_of(prog.main)) <= 2
+        assert len(prog.main.procs) <= 3
+        assert len(prog.main.conns) <= 2
         assert _count_interactions(prog.main) <= 6
         for a in prog.connectors.values():
             assert validate_automaton(a) == []

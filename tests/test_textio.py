@@ -137,6 +137,29 @@ def test_parse_error_carries_position() -> None:
     assert re.match(r"\d+:\d+:", str(err.value))
 
 
+@pytest.mark.parametrize(
+    "init, main, where",
+    [
+        ('a.x = "two\nlines"; @', "0", "8:9"),  # on the literal's last line
+        ('a.x = "two\nlines";', "@", "9:8"),  # on a later line
+    ],
+)
+def test_positions_count_raw_newlines_in_strings(init: str, main: str, where: str) -> None:
+    src = (
+        "automaton Sync {\n"
+        "  states 1;\n"
+        "  ports p1, p2;\n"
+        "  init 1;\n"
+        "  1 -> 1 on p1 > p2;\n"
+        "}\n"
+        "connectors { g: Sync[a/p1, b/p2]; } init { " + init + " }\n"
+        "main { " + main + " }\n"
+    )
+    with pytest.raises(ParseError) as err:
+        textio.parse_program(src)
+    assert str(err.value).startswith(where + ": unexpected character '@'")
+
+
 def test_unknown_connector_rejected() -> None:
     with pytest.raises(InputError) as err:
         textio.parse_program(_main("a.x -> b.y thru nosuch; 0"))
@@ -146,6 +169,10 @@ def test_unknown_connector_rejected() -> None:
 def test_unbound_call_rejected() -> None:
     with pytest.raises(InputError):
         textio.parse_program(_main("Y"))
+    # each undefined procedure is named once, in name order
+    with pytest.raises(InputError) as err:
+        textio.parse_program(_main("if a.x then { Z } else { if a.x then { Y } else { Z } }"))
+    assert str(err.value) == "call of undefined procedure Y; call of undefined procedure Z"
 
 
 def test_duplicate_connector_binding_rejected() -> None:
