@@ -10,9 +10,14 @@ head position); `reductions` combines both with the automaton states.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import ChainMap
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Callable
 
 from .core import (
     BOT,
@@ -121,8 +126,9 @@ def eval_expr(e: Expr, sigma: Mapping[tuple[str, str], Value], p: str) -> Value:
 # Configurations
 
 
-def freeze_sigma(sigma: Mapping[tuple[str, str], Value]) -> tuple:
-    return tuple(sorted(sigma.items()))
+def freeze_store(store: Mapping) -> tuple:
+    """A store, or a connector's cells, as a pair tuple sorted by key."""
+    return tuple(sorted(store.items()))
 
 
 def freeze_astate(astate: Mapping[str, tuple[str, Mapping[str, Value]]]) -> tuple:
@@ -131,13 +137,110 @@ def freeze_astate(astate: Mapping[str, tuple[str, Mapping[str, Value]]]) -> tupl
     )
 
 
-@dataclass(frozen=True, slots=True)
+# A frozen store, a connector's cells and the connector states are tuples of
+# (key, value) pairs sorted by key.  A step reads them in place, through
+# `SortedPairs`, and builds its successor's with `write_sorted` and `fire`,
+# which copy only the entries it writes and share the rest.
+
+_key, _value = itemgetter(0), itemgetter(1)
+_set = object.__setattr__  # for the frozen Configuration
+
+
+def find_key(pairs: tuple, key) -> int:
+    """The index of key's pair in a sorted pair tuple; KeyError if there is
+    none."""
+    i = bisect_left(pairs, key, key=_key)
+    if i == len(pairs) or pairs[i][0] != key:
+        raise KeyError(key)
+    return i
+
+
+class SortedPairs(Mapping):
+    """A read-only mapping over a sorted pair tuple, without copying it."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple) -> None:
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return self.pairs[find_key(self.pairs, key)][1]
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
+def write_sorted(pairs: tuple, writes: Mapping) -> tuple:
+    """pairs with writes applied: a written key's pair is replaced, or
+    inserted in key order.  Without writes, pairs itself."""
+    if not writes:
+        return pairs
+    out = list(pairs)
+    for key, value in writes.items():
+        i = bisect_left(out, key, key=_key)
+        if i < len(out) and out[i][0] == key:
+            out[i] = (key, value)
+        else:
+            out.insert(i, (key, value))
+    return tuple(out)
+
+
+def fire(astate: tuple, k: int, dst: str, mu_writes: Mapping[str, Value]) -> tuple:
+    """The connector states after the k-th connector moves to state dst and
+    writes mu_writes into its cells; every other entry is astate's own."""
+    g, (_, cells) = astate[k]
+    return astate[:k] + ((g, (dst, write_sorted(cells, mu_writes))),) + astate[k + 1 :]
+
+
+def value_types(pairs) -> tuple:
+    """The types of the values of (key, value) pairs, in order."""
+    return tuple(map(type, map(_value, pairs)))
+
+
+def cell_types(astate: tuple) -> tuple:
+    """`value_types` of the cells of every connector, in order."""
+    return value_types(chain.from_iterable(map(_value, map(_value, astate))))
+
+
+def same_values(a, b, types: Callable[[object], tuple]) -> bool:
+    """Whether a and b are equal and `types` finds the same value types in
+    both: 1 == True, but a store holding 1 is not one holding true."""
+    return a is b or (a == b and types(a) == types(b))
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Configuration:
-    """One runtime state: choreography, global store, automaton states."""
+    """One runtime state: choreography, global store, automaton states.
+
+    The hash is the tuple hash of the three fields, worked out once.
+    Equality is type-strict on store and cell values."""
 
     chor: object
     sigma: tuple
     astate: tuple
+    _hash: int = field(init=False, repr=False)
+
+    def __init__(self, chor, sigma: tuple, astate: tuple) -> None:
+        _set(self, "chor", chor)
+        _set(self, "sigma", sigma)
+        _set(self, "astate", astate)
+        _set(self, "_hash", hash((chor, sigma, astate)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Configuration:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.chor == other.chor
+            and same_values(self.sigma, other.sigma, value_types)
+            and same_values(self.astate, other.astate, cell_types)
+        )
 
     @staticmethod
     def make(
@@ -145,7 +248,7 @@ class Configuration:
         sigma: Mapping[tuple[str, str], Value],
         astate: Mapping[str, tuple[str, Mapping[str, Value]]],
     ) -> "Configuration":
-        return Configuration(chor, freeze_sigma(sigma), freeze_astate(astate))
+        return Configuration(chor, freeze_store(sigma), freeze_astate(astate))
 
     def sigma_map(self) -> dict[tuple[str, str], Value]:
         return dict(self.sigma)
@@ -403,17 +506,14 @@ def match_transition(
 
     Untouched interactions stay in the residual set; touched full interactions
     either complete (port-to-port) or turn into runtime receive terms
-    (port-to-cell).  Returns (etas', sigma', mu') or None.
+    (port-to-cell).  Returns (etas', sigma', mu') or None, where sigma' and
+    mu' are ChainMaps of the step's writes (`.maps[0]`) over sigma and mu.
     """
     m = match_constraint(etas, phi, mu, sigma=sigma)
     if isinstance(m, str):
         return None
     out_etas, sigma_writes, mu_writes = m
-    sigma2 = dict(sigma)
-    sigma2.update(sigma_writes)
-    mu2 = dict(mu)
-    mu2.update(mu_writes)
-    return (out_etas, sigma2, mu2)
+    return (out_etas, ChainMap(sigma_writes, sigma), ChainMap(mu_writes, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +569,20 @@ def _valid_splits(etas: frozenset[Interaction]) -> list[tuple[frozenset[Interact
 
 def _splits(etas: frozenset[Interaction], gamma: str, cont, touching) -> list[Exposure]:
     """The subsets of a set on connector gamma that can be split off and
-    meet `touching`, each with the rest left in place above cont."""
+    meet `touching`, each with the rest left in place above cont.  A set
+    that the step empties rebuilds to cont itself."""
     out = []
     for subset, procs in _valid_splits(etas):
         if not touching.isdisjoint(subset):
             rest = etas - subset
             out.append(
-                Exposure("com", gamma, subset, procs, lambda r, rest=rest: Prefix(r | rest, gamma, cont))
+                Exposure(
+                    "com",
+                    gamma,
+                    subset,
+                    procs,
+                    lambda r, rest=rest: Prefix(r | rest, gamma, cont) if r or rest else cont,
+                )
             )
     return out
 
@@ -580,10 +687,12 @@ def head_exposures(c, unfold: bool = True) -> list[Exposure]:
 
 
 def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
-    """All one-step successors, deterministically ordered and deduplicated."""
+    """All one-step successors, deterministically ordered and deduplicated.
+    A successor shares with cfg its store when the step writes none, and
+    the state of every connector but the fired one."""
     chor = normalize(cfg.chor)
-    sigma = cfg.sigma_map()
-    astate = cfg.astate_map()
+    sigma, astate = cfg.sigma, cfg.astate
+    store = SortedPairs(sigma)
     exps = exposures(chor, {}, frozenset(), True)
     out: list[Step] = []
     seen: set = set()
@@ -592,16 +701,20 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
             continue
         if ex.subject not in g:
             raise InputError(f"no automaton for connector {ex.subject}")
-        state, mu = astate[ex.subject]
+        k = find_key(astate, ex.subject)
+        state, cells = astate[k][1]
+        mu = SortedPairs(cells)
         for t in g[ex.subject].outgoing(state):
-            m = match_transition(ex.what, t.phi, sigma, mu)
+            m = match_transition(ex.what, t.phi, store, mu)
             if m is None:
                 continue
             residual, sigma2, mu2 = m
-            astate2 = dict(astate)
-            astate2[ex.subject] = (t.dst, mu2)
-            succ = Configuration.make(normalize(ex.rebuild(residual)), sigma2, astate2)
-            key = ("com", ex.subject, constraint_key(t.phi), succ)
+            succ = Configuration(
+                normalize(ex.rebuild(residual)),
+                write_sorted(sigma, sigma2.maps[0]),
+                fire(astate, k, t.dst, mu2.maps[0]),
+            )
+            key = ("com", ex.subject, t.phi, succ)
             if key in seen:
                 continue
             seen.add(key)
@@ -609,10 +722,10 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
     for ex in exps:
         if ex.kind != "cond":
             continue
-        v = eval_expr(ex.what, sigma, ex.subject)
+        v = eval_expr(ex.what, store, ex.subject)
         if not isinstance(v, bool):
             raise EvalError(f"guard at {ex.subject} is not a boolean: {v!r}")
-        succ = Configuration.make(normalize(ex.rebuild(v)), sigma, astate)
+        succ = Configuration(normalize(ex.rebuild(v)), sigma, astate)
         key = ("cond", ex.subject, expr_key(ex.what), v, succ)
         if key in seen:
             continue

@@ -21,6 +21,7 @@ are rendered as text only for a negative verdict's report and path.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -41,7 +42,16 @@ from .core import (
     Value,
     size,
 )
-from .chor_engine import freeze_astate, head_exposures, match_constraint, normalize
+from .chor_engine import (
+    SortedPairs,
+    cell_types,
+    find_key,
+    fire,
+    freeze_astate,
+    head_exposures,
+    match_constraint,
+    normalize,
+)
 
 
 class TokenSource:
@@ -60,14 +70,13 @@ def abstract_match(
     tokens: TokenSource,
 ):
     """Value-free variant of the transition matcher: sent data become fresh
-    tokens (one per sending process and step).  Returns (etas', mu') or None."""
+    tokens (one per sending process and step).  Returns (etas', mu') or None,
+    where mu' is a ChainMap of the step's writes (`.maps[0]`) over mu."""
     m = match_constraint(etas, phi, mu, sigma=None, fresh=tokens.fresh)
     if isinstance(m, str):
         return None
     out, _sigma_writes, mu_writes = m
-    mu2 = dict(mu)
-    mu2.update(mu_writes)
-    return (out, mu2)
+    return (out, ChainMap(mu_writes, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +201,6 @@ def _canon_astate(astate: tuple, relevant: "frozenset[str] | None") -> tuple:
 # The worklist
 
 
-def _types(astate: tuple) -> tuple:
-    """The type of every cell value of a frozen connector state, in order: two
-    states are the same only if they are equal and these are too, so a cell
-    holding 1 differs from one holding true."""
-    return tuple(type(v) for _g, (_s, cells) in astate for _m, v in cells)
-
-
 def check_compatibility(
     c,
     g: ConnectorMapping,
@@ -237,7 +239,7 @@ def check_compatibility(
     # that tokens minted after it are numbered lower.  The frame holds the
     # StateVar objects themselves, never their ids, which a freed one can hand
     # on.
-    worklist: list[tuple] = [(((), root, _types(root), c), None, "start")]
+    worklist: list[tuple] = [(((), root, cell_types(root), c), None, "start")]
     visited: set[tuple] = set()
     checked = 0
     while worklist:
@@ -298,7 +300,7 @@ def check_compatibility(
         pushes = []
         for gamma2, astate2, chor2, via2 in succs:
             assert size(chor2) < budget
-            key2 = (gamma2, astate2, _types(astate2), chor2)
+            key2 = (gamma2, astate2, cell_types(astate2), chor2)
             if key2 not in visited:
                 pushes.append((key2, j, via2))
         worklist.extend(reversed(pushes))
@@ -310,11 +312,13 @@ def _prefix_successors(j: Judgement, g: ConnectorMapping, tokens: TokenSource):
     every connector transition that serves a head interaction set, and every
     attempt as (connector, etas, transition, state).  A successor's `via` is
     its attempt, rendered only when a path is read."""
-    astate = j.astate_map()
+    astate = j.astate
     succs: list[tuple] = []
     tried: list[tuple] = []
     for ex in head_exposures(j.chor, unfold=False):
-        state, mu = astate[ex.subject]
+        k = find_key(astate, ex.subject)
+        state, cells = astate[k][1]
+        mu = SortedPairs(cells)
         for t in g[ex.subject].outgoing(state):
             if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
                 continue  # consumes nothing; see module docstring
@@ -324,9 +328,8 @@ def _prefix_successors(j: Judgement, g: ConnectorMapping, tokens: TokenSource):
             if m is None:
                 continue
             residual, mu2 = m
-            astate2 = dict(astate)
-            astate2[ex.subject] = (t.dst, mu2)
-            succs.append((j.gamma, freeze_astate(astate2), normalize(ex.rebuild(residual)), attempt))
+            astate2 = fire(astate, k, t.dst, mu2.maps[0])
+            succs.append((j.gamma, astate2, normalize(ex.rebuild(residual)), attempt))
     return succs, tried
 
 

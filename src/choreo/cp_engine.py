@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Mapping
 
@@ -27,7 +28,19 @@ from .core import (
     Value,
     expr_key,
 )
-from .chor_engine import EvalError, evaluate, freeze_astate, mem_cycle
+from .chor_engine import (
+    EvalError,
+    SortedPairs,
+    cell_types,
+    evaluate,
+    fire,
+    freeze_astate,
+    freeze_store,
+    mem_cycle,
+    same_values,
+    value_types,
+    write_sorted,
+)
 from . import lts
 from .lts import FAIL_PORTS, FAIL_VALUE, Outcome, RunResult, Step, StuckReport
 from .epp import (
@@ -59,8 +72,7 @@ def _store_eval(e, store: Mapping[str, Value]) -> Value:
 # Networks
 
 
-def _freeze_store(store: Mapping[str, Value]) -> tuple:
-    return tuple(sorted(store.items()))
+_set = object.__setattr__  # for the frozen NetConfiguration
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +84,7 @@ class Network:
     @staticmethod
     def make(mapping: Mapping[str, tuple[Mapping[str, Value], Behaviour]]) -> "Network":
         items = tuple(
-            sorted((q, _freeze_store(store), b) for q, (store, b) in mapping.items())
+            sorted((q, freeze_store(store), b) for q, (store, b) in mapping.items())
         )
         return Network(items)
 
@@ -83,12 +95,37 @@ class Network:
         return [q for q, _, _ in self.procs]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class NetConfiguration:
-    """A network plus the current state and memory of every connector."""
+    """A network plus the current state and memory of every connector.
+
+    The hash is the tuple hash of the two fields, worked out on first use
+    and kept: a run hashes every successor, but a projection builds one
+    configuration that may never be hashed.  Equality is type-strict on
+    store and cell values."""
 
     net: Network
     astate: tuple
+    _hash: "int | None" = field(init=False, repr=False)
+
+    def __init__(self, net: Network, astate: tuple) -> None:
+        _set(self, "net", net)
+        _set(self, "astate", astate)
+        _set(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _set(self, "_hash", hash((self.net, self.astate)))
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NetConfiguration:
+            return NotImplemented
+        return self is other or (
+            hash(self) == hash(other)
+            and same_values(self.net, other.net, _store_types)
+            and same_values(self.astate, other.astate, cell_types)
+        )
 
     @staticmethod
     def make(
@@ -98,6 +135,11 @@ class NetConfiguration:
 
     def astate_map(self) -> dict[str, tuple[str, dict[str, Value]]]:
         return {g: (s, dict(cells)) for g, (s, cells) in self.astate}
+
+
+def _store_types(net: Network) -> tuple:
+    """`value_types` of every process store, in order."""
+    return value_types(chain.from_iterable(store for _q, store, _b in net.procs))
 
 
 @dataclass
@@ -326,7 +368,7 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
         i, focus = heads[p]
         action = focus.action
         if isinstance(action, Send):
-            out_value[p] = _store_eval(action.expr, dict(procs[i][1]))
+            out_value[p] = _store_eval(action.expr, SortedPairs(procs[i][1]))
         else:
             out_value[p] = Label(action.label)
     mu_writes: dict[str, Value] = {dst: mu[src] for src, dst in plan.moves}
@@ -341,9 +383,8 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
         i, focus = heads[q]
         action = focus.action
         if isinstance(action, Recv):
-            store = dict(procs[i][1])
-            store[action.var] = delivered
-            new[i] = (q, _freeze_store(store), focus.rebuild(action.cont))
+            store = write_sorted(procs[i][1], {action.var: delivered})
+            new[i] = (q, store, focus.rebuild(action.cont))
         else:
             assert isinstance(action, Branch) and isinstance(delivered, Label)
             chosen = action.case_map()[delivered.name]
@@ -367,16 +408,13 @@ def cp_reductions(
     for k, (g, (state, cells)) in enumerate(astate):
         if g not in automata:
             raise InputError(f"no automaton for connector {g}")
-        mu = dict(cells)
+        mu = SortedPairs(cells)
         for t in automata[g].outgoing(state):
             m = cp_match_transition(cfg.net, t.phi, mu)
             if isinstance(m, str):
                 continue
             net2, mu_writes = m
-            mu2 = dict(mu)
-            mu2.update(mu_writes)
-            astate2 = astate[:k] + ((g, (t.dst, _freeze_store(mu2))),) + astate[k + 1 :]
-            succ = NetConfiguration(normalize_network(net2), astate2)
+            succ = NetConfiguration(normalize_network(net2), fire(astate, k, t.dst, mu_writes))
             key = ("com", g, t.phi, succ)
             if key in seen:
                 continue
@@ -386,7 +424,7 @@ def cp_reductions(
         focus = head_focus(b)
         if focus is None or not isinstance(focus.action, BCond):
             continue
-        v = _store_eval(focus.action.guard, dict(store))
+        v = _store_eval(focus.action.guard, SortedPairs(store))
         if not isinstance(v, bool):
             raise EvalError(f"guard at {q} is not a boolean: {v!r}")
         chosen = focus.action.then_branch if v else focus.action.else_branch
@@ -423,12 +461,10 @@ def cp_report_stuck(cfg: NetConfiguration, automata: ConnectorMapping) -> StuckR
     connector, connectors in name order."""
     from .textio import pretty_constraint  # lazy import to avoid a module cycle
 
-    astate = cfg.astate_map()
     failures: list[tuple[str, str]] = []
-    for g in sorted(astate):
-        state, mu = astate[g]
+    for g, (state, cells) in cfg.astate:
         for t in automata[g].outgoing(state):
-            m = cp_match_transition(cfg.net, t.phi, mu)
+            m = cp_match_transition(cfg.net, t.phi, SortedPairs(cells))
             if isinstance(m, str):
                 failures.append((f"{g} at state {state}: {pretty_constraint(t.phi)}", m))
     return lts.stuck_report(failures, "no outgoing transitions in any connector state")

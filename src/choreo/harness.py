@@ -51,7 +51,8 @@ from .core import (
 )
 from .chor_engine import (
     Configuration,
-    freeze_sigma,
+    cell_types,
+    freeze_store,
     eval_expr,
     initial_configuration,
     is_terminated,
@@ -268,7 +269,7 @@ def oracle_eta_reductions(
         if max_label is not None and len(fl) > max_label:
             return
         fe = frozenset(e)
-        fs = freeze_sigma(s)
+        fs = freeze_store(s)
         fm = tuple(sorted(m.items()))
         results.add(OracleResult(Constraint(fl), fe, fs, fm))
         key = (fe, fs, fm, used, written, fl)
@@ -342,7 +343,7 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
 
     Every choreography reduction of a pair must be matched by network
     reductions whose endpoint lies above the projected successor (pruning
-    order, literal connector-state equality), and every network reduction
+    order, type-strict connector-state equality), and every network reduction
     must be matched back by choreography reductions the same way.  Each match
     gives a successor pair; each step without one is a gap.
     """
@@ -381,7 +382,7 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
         def above(c: Configuration, n: NetConfiguration) -> bool:
             """Whether n lies above c's projection.  Both directions test the
             same one-step pairs, so each pair's verdict is worked out once."""
-            if c.astate != n.astate:
+            if c.astate != n.astate or cell_types(c.astate) != cell_types(n.astate):
                 return False
             v = verdicts.get((c, n))
             if v is None:

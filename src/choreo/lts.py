@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable
 
 # the stage at which an attempted transition failed
@@ -32,9 +33,14 @@ class Step:
     def label(self) -> tuple:
         """What the step does, apart from the state it leads to."""
         if self.kind == "com":
-            flows = tuple(str(f.src) + ">" + str(f.dst) for f in self.phi.sorted_flows())
-            return ("com", self.subject, flows)
+            return ("com", self.subject, _flow_strings(self.phi))
         return ("cond", self.subject, self.branch)
+
+
+@lru_cache(maxsize=8192)
+def _flow_strings(phi) -> tuple:
+    """A constraint's flows as text, in canonical order, once per constraint."""
+    return tuple(str(f.src) + ">" + str(f.dst) for f in phi.sorted_flows())
 
 
 Successors = Callable[[object], "list[Step]"]
@@ -103,9 +109,13 @@ def search(
     last level, and `truncated` means that states were left there.
 
     With a goal, the search stops at the first newly reached state the goal
-    accepts and returns it as `found`."""
+    accepts and returns it as `found`.
+
+    Every edge, and every set of the result, holds the object first reached
+    for a state, so an equal successor built later is not kept alive."""
     res = Search({start}, set(), set(), set(), False)
     nodes, edges = res.nodes, res.edges
+    held = {start: start}  # each member of nodes, by itself
     frontier = [start]
     for level in range(depth + 1):
         last = level == depth
@@ -125,7 +135,7 @@ def search(
                 res.truncated = True
                 continue
             for step in steps:
-                succ = step.config
+                succ = held.setdefault(step.config, step.config)
                 edges.add((cur, step.label, succ))
                 if succ in nodes:
                     continue

@@ -27,7 +27,7 @@ from choreo.core import (
     Var,
 )
 
-from conftest import load_program, ring_chain
+from conftest import RING_AUTOMATA, load_program, ring_chain
 
 
 def _phi(*pairs) -> Constraint:
@@ -404,3 +404,69 @@ def test_walk_traffic_is_pinned() -> None:
     assert sorted(WALK_PINS) == sorted(programs)
     for name, prog in programs.items():
         assert _walk_traffic(prog) == WALK_PINS[name], name
+
+
+PAIRS = RING_AUTOMATA + """
+connectors {
+  c1: Buffer1[a/p1, b/p2];
+  c2: Buffer1[c/p1, d/p2];
+  c3: Sync[e/p1, f/p2];
+}
+
+init { a.x = 1; c.x = 2; e.x = 3; }
+
+main {
+  a.x -> b.y thru c1;
+  c.x -> d.y thru c2;
+  e.x -> f.y thru c3;
+  0
+}
+"""
+
+
+def test_successors_share_what_their_step_leaves_alone() -> None:
+    prog = textio.parse_program(PAIRS)
+    cfg = ce.initial_configuration(prog)
+    steps = ce.reductions(cfg, prog.connectors)
+    assert {s.subject for s in steps} == {"c1", "c2", "c3"}
+    for step in steps:
+        succ = step.config
+        for mine, theirs in zip(succ.astate, cfg.astate):
+            assert (mine is theirs) is (mine[0] != step.subject)
+        # a deposit into a buffer writes no store; a Sync hand-over does
+        assert (succ.sigma is cfg.sigma) is (step.subject != "c3")
+    assert ce.normalize(cfg.chor) is cfg.chor  # nothing rebuilt the start
+
+
+def test_emptying_a_set_rebuilds_to_its_continuation() -> None:
+    cont = Prefix(frozenset({ValCom("c", Var("x"), "d", "y")}), "c2", END)
+    c = Prefix(frozenset({ValCom("a", Var("x"), "b", "y")}), "c1", cont)
+    ex = ce.head_exposures(c)[0]
+    assert ex.subject == "c1"
+    assert ex.rebuild(frozenset()) is cont
+
+
+def test_configuration_equality_is_type_strict() -> None:
+    one = ce.Configuration.make(END, {("a", "x"): 1}, {})
+    true = ce.Configuration.make(END, {("a", "x"): True}, {})
+    assert one != true and hash(one) == hash(true)
+    assert len({one, true}) == 2
+    cell1 = ce.Configuration.make(END, {}, {"g": ("1", {"m": 1})})
+    cell_true = ce.Configuration.make(END, {}, {"g": ("1", {"m": True})})
+    assert cell1 != cell_true and len({cell1, cell_true}) == 2
+    # equal states still merge, and the hash is the tuple hash of the fields
+    again = ce.Configuration.make(END, {("a", "x"): 1}, {})
+    assert again == one and len({one, again}) == 1
+    assert hash(one) == hash((one.chor, one.sigma, one.astate))
+
+
+def test_search_keeps_one_object_per_state() -> None:
+    prog = textio.parse_program(PAIRS)
+    res = harness.exhaustive_explore(ce.initial_configuration(prog), prog.connectors, 10)
+    # each Buffer1 pair takes 2 steps and the Sync pair 1, from any state of
+    # the other two pairs: most states are reached, and built, more than once
+    assert len(res.nodes) == 3 * 3 * 2
+    assert len(res.edges) == 2 * 2 * (3 * 2) + 1 * (3 * 3)
+    held = {id(n) for n in res.nodes}
+    for src, _label, dst in res.edges:
+        assert id(src) in held and id(dst) in held

@@ -351,3 +351,26 @@ def test_stuck_networks_keep_their_classification() -> None:
     rep = cpe.cp_report_stuck(res.final, empty.automata)
     assert rep.classification == "value-mismatch"
     assert rep.details == ["g at state 2: m > i_b_g: value mismatch"]
+
+
+def test_net_configuration_equality_is_type_strict() -> None:
+    def cfg(x, m):
+        return cpe.NetConfiguration.make(_net(a=({"x": x}, BEnd())), {"g": ("1", {"m": m})})
+
+    one, true = cfg(1, BOT), cfg(True, BOT)
+    assert one != true and hash(one) == hash(true)
+    assert len({one, true}) == 2
+    cell1, cell_true = cfg(1, 1), cfg(1, True)
+    assert cell1 != cell_true and len({cell1, cell_true}) == 2
+    assert cfg(1, BOT) == one and len({one, cfg(1, BOT)}) == 1
+    assert hash(one) == hash((one.net, one.astate))
+
+
+def test_net_successors_share_what_their_step_leaves_alone() -> None:
+    prog = textio.parse_program(fixture_text("reorder.cr"))
+    cp = _project(prog)
+    steps = cpe.cp_reductions(cp.init, cp.automata)
+    assert {s.subject for s in steps} == {"g1", "g2"}
+    for step in steps:
+        for mine, theirs in zip(step.config.astate, cp.init.astate):
+            assert (mine is theirs) is (mine[0] != step.subject)

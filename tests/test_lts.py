@@ -57,3 +57,18 @@ def test_search_with_a_goal_returns_the_first_accepted_new_state() -> None:
     successors, calls = _graph(edges)
     assert search(0, successors, 1, goal=lambda n: n == 3).found is None
     assert calls == [0]
+
+
+def test_search_edges_hold_the_states_it_keeps() -> None:
+    # every call builds fresh but equal successor objects
+    def successors(n: tuple) -> list[Step]:
+        return [Step("cond", "p", None, "then", None, None, (m,)) for m in ((n[0] + 1) % 3, 0)]
+
+    start = (0,)
+    res = search(start, successors, 6)
+    assert res.nodes == {(0,), (1,), (2,)}
+    held = {id(n) for n in res.nodes}
+    assert id(start) in held
+    assert len(res.edges) == 5
+    for src, _label, dst in res.edges:
+        assert id(src) in held and id(dst) in held
