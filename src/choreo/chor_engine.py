@@ -21,6 +21,7 @@ from typing import Callable
 
 from .core import (
     BOT,
+    Bool,
     Call,
     Cond,
     Const,
@@ -30,6 +31,7 @@ from .core import (
     END,
     End,
     Expr,
+    FALSE,
     Flow,
     InputError,
     Interaction,
@@ -41,13 +43,12 @@ from .core import (
     RecvSel,
     RecvVal,
     Sel,
+    TRUE,
     UnOp,
     ValCom,
     Value,
     Var,
-    constraint_key,
-    eta_key,
-    expr_key,
+    check_value,
     known_pn,
     pn_eta,
     pn_etas,
@@ -73,38 +74,32 @@ def evaluate(e: Expr, get: Callable[[str], Value]) -> Value:
         return get(e.name)
     if isinstance(e, UnOp):
         v = evaluate(e.operand, get)
-        if not isinstance(v, bool):
+        if not isinstance(v, Bool):
             raise EvalError(f"'not' applied to {v!r}")
-        return not v
+        return FALSE if v else TRUE
     left = evaluate(e.left, get)
     if e.op in ("and", "or"):
         right = evaluate(e.right, get)
-        if not (isinstance(left, bool) and isinstance(right, bool)):
+        if not (isinstance(left, Bool) and isinstance(right, Bool)):
             raise EvalError(f"'{e.op}' applied to non-booleans")
         return (left and right) if e.op == "and" else (left or right)
     right = evaluate(e.right, get)
     if e.op == "=":
-        return left == right and type(left) is type(right)
+        return TRUE if left == right else FALSE
     if e.op == "!=":
-        return not (left == right and type(left) is type(right))
+        return FALSE if left == right else TRUE
     if e.op == "<":
-        if isinstance(left, bool) or isinstance(right, bool) or not (
-            isinstance(left, int) and isinstance(right, int)
-        ):
+        if not (isinstance(left, int) and isinstance(right, int)):
             raise EvalError("'<' needs integers")
-        return left < right
+        return TRUE if left < right else FALSE
     if e.op == "+":
         if isinstance(left, str) and isinstance(right, str):
             return left + right
-        if isinstance(left, int) and isinstance(right, int) and not (
-            isinstance(left, bool) or isinstance(right, bool)
-        ):
+        if isinstance(left, int) and isinstance(right, int):
             return left + right
         raise EvalError("'+' needs two integers or two strings")
     if e.op == "-":
-        if isinstance(left, int) and isinstance(right, int) and not (
-            isinstance(left, bool) or isinstance(right, bool)
-        ):
+        if isinstance(left, int) and isinstance(right, int):
             return left - right
         raise EvalError("'-' needs integers")
     raise EvalError(f"unknown operator {e.op}")
@@ -142,7 +137,7 @@ def freeze_astate(astate: Mapping[str, tuple[str, Mapping[str, Value]]]) -> tupl
 # `SortedPairs`, and builds its successor's with `write_sorted` and `fire`,
 # which copy only the entries it writes and share the rest.
 
-_key, _value = itemgetter(0), itemgetter(1)
+_key = itemgetter(0)
 _set = object.__setattr__  # for the frozen Configuration
 
 
@@ -195,28 +190,11 @@ def fire(astate: tuple, k: int, dst: str, mu_writes: Mapping[str, Value]) -> tup
     return astate[:k] + ((g, (dst, write_sorted(cells, mu_writes))),) + astate[k + 1 :]
 
 
-def value_types(pairs) -> tuple:
-    """The types of the values of (key, value) pairs, in order."""
-    return tuple(map(type, map(_value, pairs)))
-
-
-def cell_types(astate: tuple) -> tuple:
-    """`value_types` of the cells of every connector, in order."""
-    return value_types(chain.from_iterable(map(_value, map(_value, astate))))
-
-
-def same_values(a, b, types: Callable[[object], tuple]) -> bool:
-    """Whether a and b are equal and `types` finds the same value types in
-    both: 1 == True, but a store holding 1 is not one holding true."""
-    return a is b or (a == b and types(a) == types(b))
-
-
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class Configuration:
     """One runtime state: choreography, global store, automaton states.
 
-    The hash is the tuple hash of the three fields, worked out once.
-    Equality is type-strict on store and cell values."""
+    The hash is the tuple hash of the three fields, worked out once."""
 
     chor: object
     sigma: tuple
@@ -238,8 +216,8 @@ class Configuration:
         return self is other or (
             self._hash == other._hash
             and self.chor == other.chor
-            and same_values(self.sigma, other.sigma, value_types)
-            and same_values(self.astate, other.astate, cell_types)
+            and self.sigma == other.sigma
+            and self.astate == other.astate
         )
 
     @staticmethod
@@ -258,10 +236,13 @@ class Configuration:
 
 
 def initial_configuration(program) -> Configuration:
-    """Build the starting configuration of a parsed program."""
+    """Build the starting configuration of a parsed program.  A Python bool
+    in its store or cells is an InputError (see `core.check_value`)."""
     astate = {
         g: (a.init_state, a.init_mem_map()) for g, a in program.connectors.items()
     }
+    for v in chain(program.init_sigma.values(), *(mu.values() for _, mu in astate.values())):
+        check_value(v)
     return Configuration.make(normalize(program.main), program.init_sigma, astate)
 
 
@@ -451,7 +432,7 @@ def match_constraint(
             expected = eta.value
         else:
             expected = Label(eta.label)
-        if stored is BOT or not (stored == expected and type(stored) is type(expected)):
+        if stored != expected:
             return FAIL_VALUE
     for f, birth, eta in born_claims:
         stored = mu[f.src.name]
@@ -460,7 +441,7 @@ def match_constraint(
         else:
             assert isinstance(eta, Sel)
             expected = Label(eta.label)
-        if stored is BOT or not (stored == expected and type(stored) is type(expected)):
+        if stored != expected:
             return FAIL_VALUE
 
     # effects; self-copies first so another writer to the same cell wins
@@ -723,10 +704,10 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
         if ex.kind != "cond":
             continue
         v = eval_expr(ex.what, store, ex.subject)
-        if not isinstance(v, bool):
+        if not isinstance(v, Bool):
             raise EvalError(f"guard at {ex.subject} is not a boolean: {v!r}")
         succ = Configuration(normalize(ex.rebuild(v)), sigma, astate)
-        key = ("cond", ex.subject, expr_key(ex.what), v, succ)
+        key = ("cond", ex.subject, ex.what, v, succ)
         if key in seen:
             continue
         seen.add(key)
@@ -752,16 +733,16 @@ def report_stuck(cfg: Configuration, g: ConnectorMapping) -> StuckReport:
     is listed once per connector, constraint and interaction set."""
     from .textio import pretty_constraint, pretty_eta_set  # lazy: avoid cycle at import time
 
-    sigma = cfg.sigma_map()
-    astate = cfg.astate_map()
+    store = SortedPairs(cfg.sigma)
     failures: dict[tuple, tuple[str, str]] = {}
     for ex in head_exposures(cfg.chor):
-        state, mu = astate[ex.subject]
+        state, cells = cfg.astate[find_key(cfg.astate, ex.subject)][1]
+        mu = SortedPairs(cells)
         for t in g[ex.subject].outgoing(state):
-            stage = match_constraint(ex.what, t.phi, mu, sigma)
+            stage = match_constraint(ex.what, t.phi, mu, store)
             if not isinstance(stage, str):
                 continue
-            key = (ex.subject, constraint_key(t.phi), tuple(sorted(eta_key(e) for e in ex.what)))
+            key = (ex.subject, t.phi, ex.what)
             if key not in failures:
                 detail = (
                     f"{ex.subject} at state {state}: {pretty_constraint(t.phi)} vs "

@@ -14,9 +14,8 @@ metric out when it is built, so the assertion reads one field.
 
 A judgement is a procedure frame, a connector state and a choreography, and
 the worklist checks each distinct one once; the comment at its memo says why
-the verdict stays the same.  Connector states compare type-strictly there and
-at procedure re-entry: a cell holding 1 is not one holding true.  Transitions
-are rendered as text only for a negative verdict's report and path.
+the verdict stays the same.  Transitions are rendered as text only for a
+negative verdict's report and path.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .core import (
 )
 from .chor_engine import (
     SortedPairs,
-    cell_types,
     find_key,
     fire,
     freeze_astate,
@@ -187,7 +185,7 @@ def _canon_astate(astate: tuple, relevant: "frozenset[str] | None") -> tuple:
             if v not in renaming:
                 renaming[v] = len(renaming)
             return ("tok", renaming[v])
-        return (type(v), v)  # type-strict: a cell holding 1 is not one holding true
+        return v
 
     out = []
     for g, (s, cells) in astate:
@@ -226,20 +224,19 @@ def check_compatibility(
     tokens = TokenSource()
     root = freeze_astate(a0)
     # An entry is (key, parent judgement, via); the key is the judgement
-    # itself: procedure frame, connector state, the types of its cells and
-    # choreography.  A judgement whose key was checked before is skipped.
-    # This is exact.  Every successor is strictly smaller (asserted below), so
-    # no key recurs in its own subtree, and the stack finishes a key's whole
-    # subtree, without failure, before any duplicate of it is popped.  The
-    # duplicate's subtree would check the same judgements up to a renaming of
-    # the tokens minted in it, against StateVar values the first subtree has
-    # already fixed, and re-entry compares token-renamed states.  So verdicts,
-    # failing judgements, attempts and paths stay what they were without the
-    # memo, and only the count of judgements falls; the one trace of a skip is
-    # that tokens minted after it are numbered lower.  The frame holds the
-    # StateVar objects themselves, never their ids, which a freed one can hand
-    # on.
-    worklist: list[tuple] = [(((), root, cell_types(root), c), None, "start")]
+    # itself: procedure frame, connector state and choreography.  A judgement
+    # whose key was checked before is skipped.  This is exact.  Every
+    # successor is strictly smaller (asserted below), so no key recurs in its
+    # own subtree, and the stack finishes a key's whole subtree, without
+    # failure, before any duplicate of it is popped.  The duplicate's subtree
+    # would check the same judgements up to a renaming of the tokens minted in
+    # it, against StateVar values the first subtree has already fixed, and
+    # re-entry compares token-renamed states.  So verdicts, failing
+    # judgements, attempts and paths stay what they were without the memo,
+    # and only the count of judgements falls; the one trace of a skip is that
+    # tokens minted after it are numbered lower.  The frame holds the StateVar
+    # objects themselves, never their ids, which a freed one can hand on.
+    worklist: list[tuple] = [(((), root, c), None, "start")]
     visited: set[tuple] = set()
     checked = 0
     while worklist:
@@ -247,7 +244,7 @@ def check_compatibility(
         if key in visited:
             continue
         visited.add(key)
-        gamma, astate, _, ch = key
+        gamma, astate, ch = key
         j = Judgement(gamma, astate, ch, parent, via)
         checked += 1
         if isinstance(ch, End):
@@ -300,7 +297,7 @@ def check_compatibility(
         pushes = []
         for gamma2, astate2, chor2, via2 in succs:
             assert size(chor2) < budget
-            key2 = (gamma2, astate2, cell_types(astate2), chor2)
+            key2 = (gamma2, astate2, chor2)
             if key2 not in visited:
                 pushes.append((key2, j, via2))
         worklist.extend(reversed(pushes))

@@ -44,8 +44,35 @@ class FreshToken:
         return f"#{self.ident}"
 
 
+class Bool:
+    """A boolean value: TRUE or FALSE.  Not an int, so TRUE != 1, and a
+    store, term or state holding true never equals one holding 1.  A truth
+    test reads it as the boolean it stands for.  The hash is a constant, the
+    same in every process."""
+
+    __slots__ = ("_flag",)
+
+    def __new__(cls, flag: object) -> "Bool":
+        return TRUE if flag else FALSE
+
+    def __bool__(self) -> bool:
+        return self._flag
+
+    def __hash__(self) -> int:
+        return 0x7B001 if self._flag else 0x7B000
+
+    def __repr__(self) -> str:
+        return "true" if self._flag else "false"
+
+
+TRUE, FALSE = object.__new__(Bool), object.__new__(Bool)
+object.__setattr__(TRUE, "_flag", True)
+object.__setattr__(FALSE, "_flag", False)
+
+
 class _Bottom:
-    """Empty-cell marker; only ever lives inside memory snapshots."""
+    """Empty-cell marker; only ever lives inside memory snapshots.  The hash
+    is a constant, the same in every process."""
 
     _instance: "_Bottom | None" = None
 
@@ -54,18 +81,28 @@ class _Bottom:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    def __hash__(self) -> int:
+        return 0x7B0B0
+
     def __repr__(self) -> str:
         return "bot"
 
 
 BOT = _Bottom()
 
-Value = Union[int, str, bool, Label, FreshToken, _Bottom]
+Value = Union[int, str, Bool, Label, FreshToken, _Bottom]
+
+
+def check_value(v: object) -> None:
+    """Reject a Python bool where a value is due: True == 1, so it would
+    pass for the int 1.  Booleans are TRUE and FALSE."""
+    if isinstance(v, bool):
+        raise InputError(f"{v!r} is a Python bool; a boolean value is TRUE or FALSE")
 
 
 def value_key(v: Value) -> tuple:
     """Total deterministic order on values, for canonical iteration."""
-    if isinstance(v, bool):
+    if isinstance(v, Bool):
         return (0, str(v))
     if isinstance(v, int):
         return (1, str(v))
@@ -85,6 +122,9 @@ def value_key(v: Value) -> tuple:
 @dataclass(frozen=True, slots=True)
 class Const:
     value: Value
+
+    def __post_init__(self) -> None:
+        check_value(self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,12 +263,12 @@ def validate_interaction_set(etas: Iterable[Interaction]) -> list[str]:
         if r in seen_receivers:
             problems.append(f"receiver {r} appears in more than one interaction")
         seen_receivers.add(r)
-    sends: dict[str, set[tuple]] = {}
+    sends: dict[str, set[object]] = {}
     for eta in etas:
         if isinstance(eta, ValCom):
-            sends.setdefault(eta.sender, set()).add(("expr", expr_key(eta.expr)))
+            sends.setdefault(eta.sender, set()).add(eta.expr)
         elif isinstance(eta, Sel):
-            sends.setdefault(eta.sender, set()).add(("label", eta.label))
+            sends.setdefault(eta.sender, set()).add(Label(eta.label))
     for sender in sorted(sends):
         if len(sends[sender]) > 1:
             problems.append(f"sender {sender} sends inconsistent payloads")
@@ -568,10 +608,6 @@ class Constraint:
                 if isinstance(e, Port):
                     out.add(e.name)
         return frozenset(out)
-
-
-def constraint_key(phi: Constraint) -> tuple:
-    return tuple(flow_key(f) for f in phi.sorted_flows())
 
 
 MemorySnapshot = Mapping[str, Value]

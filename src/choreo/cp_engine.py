@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Mapping
 
 from .core import (
     BOT,
+    Bool,
     ConnectorMapping,
     Constraint,
     Flow,
@@ -26,19 +26,15 @@ from .core import (
     Mem,
     Port,
     Value,
-    expr_key,
 )
 from .chor_engine import (
     EvalError,
     SortedPairs,
-    cell_types,
     evaluate,
     fire,
     freeze_astate,
     freeze_store,
     mem_cycle,
-    same_values,
-    value_types,
     write_sorted,
 )
 from . import lts
@@ -55,6 +51,7 @@ from .epp import (
     Recv,
     SelSend,
     Send,
+    same_head,
 )
 
 
@@ -101,8 +98,7 @@ class NetConfiguration:
 
     The hash is the tuple hash of the two fields, worked out on first use
     and kept: a run hashes every successor, but a projection builds one
-    configuration that may never be hashed.  Equality is type-strict on
-    store and cell values."""
+    configuration that may never be hashed."""
 
     net: Network
     astate: tuple
@@ -123,8 +119,8 @@ class NetConfiguration:
             return NotImplemented
         return self is other or (
             hash(self) == hash(other)
-            and same_values(self.net, other.net, _store_types)
-            and same_values(self.astate, other.astate, cell_types)
+            and self.net == other.net
+            and self.astate == other.astate
         )
 
     @staticmethod
@@ -135,11 +131,6 @@ class NetConfiguration:
 
     def astate_map(self) -> dict[str, tuple[str, dict[str, Value]]]:
         return {g: (s, dict(cells)) for g, (s, cells) in self.astate}
-
-
-def _store_types(net: Network) -> tuple:
-    """`value_types` of every process store, in order."""
-    return value_types(chain.from_iterable(store for _q, store, _b in net.procs))
 
 
 @dataclass
@@ -425,12 +416,12 @@ def cp_reductions(
         if focus is None or not isinstance(focus.action, BCond):
             continue
         v = _store_eval(focus.action.guard, SortedPairs(store))
-        if not isinstance(v, bool):
+        if not isinstance(v, Bool):
             raise EvalError(f"guard at {q} is not a boolean: {v!r}")
         chosen = focus.action.then_branch if v else focus.action.else_branch
         new = procs[:i] + ((q, store, focus.rebuild(chosen)),) + procs[i + 1 :]
         succ = NetConfiguration(normalize_network(Network(new)), astate)
-        key = ("cond", q, expr_key(focus.action.guard), v, succ)
+        key = ("cond", q, focus.action.guard, v, succ)
         if key in seen:
             continue
         seen.add(key)
@@ -488,9 +479,8 @@ def _env_key(env: dict) -> tuple:
 def _bleq(b1, env1: dict, b2, env2: dict, seen: set) -> bool:
     # a loop along action spines, and into the last case of a branch or
     # conditional: a long behaviour must not exhaust the stack.  `seen` holds
-    # the pairs already assumed related, by object identity: equal behaviours
-    # may differ in the type of a constant (Const(1) == Const(True)), and all
-    # the objects stay alive for the walk, so their ids stay unique.
+    # the pairs already assumed related, by object identity: all the objects
+    # stay alive for the walk, so their ids stay unique.
     key1, key2 = _env_key(env1), _env_key(env2)
     while True:
         # a behaviour unfolds as itself: projection hands a successor the
@@ -520,7 +510,7 @@ def _bleq(b1, env1: dict, b2, env2: dict, seen: set) -> bool:
         elif isinstance(b1, BEnd):
             return isinstance(b2, BEnd)
         elif isinstance(b1, (Send, Recv, SelSend)):
-            if not (b2.__class__ is b1.__class__ and b1.port == b2.port and _same_action(b1, b2)):
+            if not (b2.__class__ is b1.__class__ and same_head(b1, b2)):
                 return False
             b1, b2 = b1.cont, b2.cont
         elif isinstance(b1, Branch):
@@ -537,7 +527,7 @@ def _bleq(b1, env1: dict, b2, env2: dict, seen: set) -> bool:
             label, b1 = b1.cases[-1]
             b2 = cases2[label]
         elif isinstance(b1, BCond):
-            if not (isinstance(b2, BCond) and expr_key(b1.guard) == expr_key(b2.guard)):
+            if not (isinstance(b2, BCond) and b1.guard == b2.guard):
                 return False
             if not _bleq(b1.then_branch, env1, b2.then_branch, env2, seen):
                 return False
@@ -546,33 +536,17 @@ def _bleq(b1, env1: dict, b2, env2: dict, seen: set) -> bool:
             return False
 
 
-def _same_action(a1, a2) -> bool:
-    """a1 and a2, of one action class and port, do the same thing.
-    Expressions compare type-strictly: sending 1 is not sending true."""
-    if a1.__class__ is Send:
-        return expr_key(a1.expr) == expr_key(a2.expr)
-    if a1.__class__ is Recv:
-        return a1.var == a2.var
-    return a1.label == a2.label
-
-
-def _same_store(s1: tuple, s2: tuple) -> bool:
-    """Two frozen stores hold the same variables with the same values,
-    compared type-strictly: a variable holding 1 is not one holding true."""
-    return s1 == s2 and all(v1.__class__ is v2.__class__ for (_, v1), (_, v2) in zip(s1, s2))
-
-
 def pruning_leq(n1: Network, n2: Network) -> bool:
     """n1 is below n2 when every process of n1 appears in n2 with an equal
     store and a behaviour that extends it by unused branches only.  n2 may
     carry extra processes; those are the ones n1 has already finished or
-    never needed.  Stores compare type-strictly."""
+    never needed."""
     m2 = {q: (store, b) for q, store, b in normalize_network(n2).procs}
     for q, store1, b1 in normalize_network(n1).procs:
         if q not in m2:
             return False
         store2, b2 = m2[q]
-        if not _same_store(store1, store2):
+        if store1 != store2:
             return False
         if not behaviour_leq(b1, b2):
             return False

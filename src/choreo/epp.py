@@ -185,7 +185,7 @@ class SelSend:
 _ACTIONS = (Send, Recv, SelSend)  # the nodes with one continuation
 
 
-def _same_head(a, b) -> bool:
+def same_head(a, b) -> bool:
     """a and b, of one action class, agree on everything but their
     continuations."""
     if a.port != b.port:
@@ -202,7 +202,7 @@ def _actions_eq(a, b) -> bool:
     while a.__class__ is b.__class__ and a.__class__ in _ACTIONS:
         if a is b:
             return True
-        if a._hash != b._hash or not _same_head(a, b):
+        if a._hash != b._hash or not same_head(a, b):
             return False
         a, b = a.cont, b.cont
     return a == b
@@ -320,7 +320,7 @@ def merge(b1: Behaviour, b2: Behaviour, _path: tuple[str, ...] = ()) -> Behaviou
     Branch label maps, which are unioned (recursively on shared labels)."""
     # shared actions, in a loop: a long behaviour must not exhaust the stack
     spine = []
-    while b1.__class__ is b2.__class__ and b1.__class__ in _ACTIONS and _same_head(b1, b2):
+    while b1.__class__ is b2.__class__ and b1.__class__ in _ACTIONS and same_head(b1, b2):
         spine.append(b1)
         b1, b2 = b1.cont, b2.cont
     if spine:
@@ -398,8 +398,8 @@ def project_behaviour(c, r: str) -> Behaviour:
     spine loop stops at the first node that already knows r's behaviour, so a
     term built on a projected tail costs only the nodes above it, and its
     projection ends in the very behaviour objects projected before.  The map
-    sits on the node rather than in a table keyed by equal terms, which would
-    confuse a term holding 1 with one holding true."""
+    sits on the node rather than in a table keyed by equal terms, so it is
+    found without hashing a term and freed with the node."""
     spine = []
     b = _known_projection(c, r)
     while b is None and isinstance(c, core.Prefix):

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 from .core import (
     BOT,
+    Bool,
     Call,
     Cond,
     ConnectorMapping,
@@ -51,7 +52,6 @@ from .core import (
 )
 from .chor_engine import (
     Configuration,
-    cell_types,
     freeze_store,
     eval_expr,
     initial_configuration,
@@ -213,9 +213,7 @@ def oracle_eta_reductions(
                     if m in written:
                         continue
                     stored = cur_mu[m]
-                    if stored is BOT or not (
-                        stored == eta.value and type(stored) is type(eta.value)
-                    ):
+                    if stored != eta.value:
                         continue
                     s2 = dict(cur_sigma)
                     s2[(eta.receiver, eta.var)] = eta.value
@@ -343,7 +341,7 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
 
     Every choreography reduction of a pair must be matched by network
     reductions whose endpoint lies above the projected successor (pruning
-    order, type-strict connector-state equality), and every network reduction
+    order, equal connector states), and every network reduction
     must be matched back by choreography reductions the same way.  Each match
     gives a successor pair; each step without one is a gap.
     """
@@ -382,7 +380,7 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
         def above(c: Configuration, n: NetConfiguration) -> bool:
             """Whether n lies above c's projection.  Both directions test the
             same one-step pairs, so each pair's verdict is worked out once."""
-            if c.astate != n.astate or cell_types(c.astate) != cell_types(n.astate):
+            if c.astate != n.astate:
                 return False
             v = verdicts.get((c, n))
             if v is None:
@@ -562,7 +560,7 @@ def _gen_candidate(rng: random.Random) -> "textio.Program":
     init_sigma: dict[tuple[str, str], Value] = {}
     for x in procs:
         init_sigma[(x, "m0")] = f"d{x}"
-        init_sigma[(x, "flag")] = rng.random() < 0.5
+        init_sigma[(x, "flag")] = Bool(rng.random() < 0.5)
     return textio.Program(
         {t.name: t for t in (_template(n) for n, _ in bindings.values())},
         bindings,

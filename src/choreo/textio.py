@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from .core import (
     BOT,
     BinOp,
+    Bool,
     Call,
     Cond,
     Const,
@@ -223,7 +224,7 @@ class _Parser:
             return t.text
         if t.kind == "ident" and t.text in ("true", "false"):
             self.next()
-            return t.text == "true"
+            return Bool(t.text == "true")
         if self.at_sym("["):
             self.next()
             name = self.ident("label")
@@ -758,8 +759,8 @@ def _behaviour_tail(p: _Parser, proc: str) -> "epp.Behaviour":
 
 
 def format_value(v: Value) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    if isinstance(v, Bool):
+        return repr(v)
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from choreo import cli
+from choreo import chor_engine as ce
+from choreo import cli, textio
+from choreo.core import TRUE
 
 from conftest import FIXTURES, fixture_text, ring_chain
 
@@ -112,6 +114,34 @@ main { if a.x then { a.x -> b.y thru g; 0 } else { 0 } }
     code, out, _ = _run(capsys, "project", str(f))
     assert code == 1
     assert "not projectable" in out
+
+
+ONE_OR_TRUE = """
+automaton Sync {
+  states 1;
+  ports p1, p2;
+  init 1;
+  1 -> 1 on p1 > p2;
+}
+connectors { c1: Sync[p/p1, q/p2]; c2: Sync[q/p1, r/p2]; }
+init { p.c = false; }
+main { if p.c then { q.1 -> r.x thru c2; 0 } else { q.true -> r.x thru c2; 0 } }
+"""
+
+
+def test_branches_sending_one_and_true_stay_apart(tmp_path: Path, capsys) -> None:
+    # the branches differ only in the type of what q sends, so q has no
+    # single behaviour, and its send cannot float out of the conditional
+    f = tmp_path / "p.cr"
+    f.write_text(ONE_OR_TRUE)
+    code, out, _ = _run(capsys, "project", str(f))
+    assert code == 1
+    assert "not projectable" in out
+    prog = textio.parse_program(ONE_OR_TRUE)
+    res = ce.run(ce.initial_configuration(prog), prog.connectors)
+    assert res.outcome is ce.Outcome.TERMINATED
+    assert [step.kind for step in res.trace] == ["cond", "com"]
+    assert res.final.sigma_map()[("r", "x")] is TRUE
 
 
 def test_simulate_network_file(capsys) -> None:

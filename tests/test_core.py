@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import choreo
+
 from choreo.core import (
     BOT,
+    Bool,
     Call,
     Cond,
     Const,
@@ -14,6 +22,7 @@ from choreo.core import (
     Def,
     END,
     End,
+    FALSE,
     Flow,
     InputError,
     Label,
@@ -23,6 +32,7 @@ from choreo.core import (
     RecvSel,
     RecvVal,
     Sel,
+    TRUE,
     Transition,
     ValCom,
     Var,
@@ -34,6 +44,7 @@ from choreo.core import (
     validate_interaction_set,
 )
 from choreo.chor_engine import initial_configuration
+from choreo.epp import BEND, PortName, Send
 from choreo.harness import (
     exhaustive_explore,
     gen_random_program,
@@ -51,6 +62,73 @@ def test_label_never_equals_string() -> None:
 def test_end_is_a_singleton() -> None:
     assert End() is END
     assert End() == End()
+
+
+def test_booleans_are_not_numbers() -> None:
+    assert Bool(1) is TRUE and Bool(0) is FALSE
+    assert TRUE != 1 and FALSE != 0 and TRUE != FALSE
+    assert not isinstance(TRUE, int)
+    assert bool(TRUE) and not FALSE
+    assert (repr(TRUE), repr(FALSE)) == ("true", "false")
+    assert len({1, 0, TRUE, FALSE}) == 4
+
+
+def test_terms_built_on_one_and_true_differ() -> None:
+    one, true = Const(1), Const(TRUE)
+    assert one != true
+    assert RecvVal("b", "x", 1) != RecvVal("b", "x", TRUE)
+    assert ValCom("a", one, "b", "x") != ValCom("a", true, "b", "x")
+    recv1 = frozenset({RecvVal("b", "x", 1)})
+    recv_true = frozenset({RecvVal("b", "x", TRUE)})
+    assert recv1 != recv_true
+    assert Prefix(recv1, "g", END) != Prefix(recv_true, "g", END)
+    assert Cond("a", one, END, END) != Cond("a", true, END, END)
+    port = PortName("o", "a", "g")
+    assert Send(port, one, BEND) != Send(port, true, BEND)
+
+
+def test_python_bools_are_not_values() -> None:
+    with pytest.raises(InputError):
+        Const(True)
+    prog = load_program("booksale.cr")
+    initial_configuration(prog)
+    with pytest.raises(InputError):
+        initial_configuration(replace(prog, init_sigma={**prog.init_sigma, ("a", "happy"): True}))
+    a2c = replace(prog.connectors["a2c"], init_mem=(("m", False),))
+    with pytest.raises(InputError):
+        initial_configuration(replace(prog, connectors={**prog.connectors, "a2c": a2c}))
+
+
+_HASH_A_BUFFERED_STATE = """
+from choreo import textio
+from choreo.chor_engine import initial_configuration
+from choreo.harness import fixture_path
+text = fixture_path("buffer1.ca").read_text() + (
+    "connectors { g: Buffer1[a/p1, b/p2]; } init { a.x = true; } main { a.x -> b.y thru g; 0 }"
+)
+print(hash(initial_configuration(textio.parse_program(text))))
+"""
+
+
+def test_empty_cells_hash_alike_in_every_process() -> None:
+    # a state holding an empty cell and a boolean must hash the same in two
+    # interpreters under one PYTHONHASHSEED, or set orders differ between runs
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "0",
+        "PYTHONPATH": str(Path(choreo.__file__).parent.parent),
+    }
+    hashes = {
+        subprocess.run(
+            [sys.executable, "-c", _HASH_A_BUFFERED_STATE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for _ in range(2)
+    }
+    assert len(hashes) == 1 and hashes.pop().strip()
 
 
 def test_self_communication_rejected() -> None:
@@ -108,7 +186,7 @@ def test_pn_and_connectors_walk_the_whole_tree() -> None:
     c = Def(
         "X",
         Prefix(frozenset({Sel("a", "b", "go")}), "g1", Call("X")),
-        Cond("d", Const(True), Prefix(frozenset({Sel("a", "c", "go")}), "g2", END), END),
+        Cond("d", Const(TRUE), Prefix(frozenset({Sel("a", "c", "go")}), "g2", END), END),
     )
     assert c.procs == frozenset({"a", "b", "c", "d"})
     assert c.conns == frozenset({"g1", "g2"})

@@ -6,7 +6,7 @@ from choreo import cp_engine as cpe
 from choreo import epp, harness, textio
 from choreo import chor_engine as ce
 from choreo.cli import _project
-from choreo.core import BOT, Const, Constraint, Flow, Label, Mem, Port, Var
+from choreo.core import BOT, TRUE, Const, Constraint, Flow, Label, Mem, Port, Var
 from choreo.epp import BCall, BDef, BEnd, Branch, PortName, Recv, SelSend, Send
 
 from conftest import fixture_text, load_program, ring_chain
@@ -152,9 +152,9 @@ def test_behaviour_leq_on_one_call_under_different_definitions() -> None:
 
 
 def test_behaviour_leq_keeps_constant_types_apart_across_cases() -> None:
-    # Send(O, 1) == Send(O, true) in Python, so a walk that remembered its
-    # pairs by equality took the second case as already related
-    one, true = Send(O, Const(1), BEnd()), Send(O, Const(True), BEnd())
+    # a walk that remembered its pairs by a lax equality, one where
+    # Send(O, 1) == Send(O, true), took the second case as already related
+    one, true = Send(O, Const(1), BEnd()), Send(O, Const(TRUE), BEnd())
     b1 = Branch.make(I, {"l1": one, "l2": true})
     b2 = Branch.make(I, {"l1": one, "l2": Send(O, Const(1), BEnd())})
     assert not cpe.behaviour_leq(b1, b2)
@@ -172,7 +172,7 @@ def test_pruning_leq_on_networks() -> None:
 
 
 def test_pruning_leq_compares_stores_type_strictly() -> None:
-    # a variable holding true is not one holding 1, though Python's == says so
+    # a variable holding true is not one holding 1
     prog = textio.parse_program(
         fixture_text("buffer1.ca")
         + "connectors { g: Buffer1[a/p1, b/p2]; }\n"
@@ -181,8 +181,8 @@ def test_pruning_leq_compares_stores_type_strictly() -> None:
     )
     chor = ce.normalize(prog.main)
     projected = epp.project_network(chor, {("a", "x"): 1})
-    with_true = epp.project_network(chor, {("a", "x"): True})
-    assert projected == with_true  # the lax comparison the order must not use
+    with_true = epp.project_network(chor, {("a", "x"): TRUE})
+    assert projected != with_true
     assert cpe.pruning_leq(projected, projected)
     assert not cpe.pruning_leq(projected, with_true)
     assert not cpe.pruning_leq(with_true, projected)
@@ -357,10 +357,10 @@ def test_net_configuration_equality_is_type_strict() -> None:
     def cfg(x, m):
         return cpe.NetConfiguration.make(_net(a=({"x": x}, BEnd())), {"g": ("1", {"m": m})})
 
-    one, true = cfg(1, BOT), cfg(True, BOT)
-    assert one != true and hash(one) == hash(true)
+    one, true = cfg(1, BOT), cfg(TRUE, BOT)
+    assert one != true
     assert len({one, true}) == 2
-    cell1, cell_true = cfg(1, 1), cfg(1, True)
+    cell1, cell_true = cfg(1, 1), cfg(1, TRUE)
     assert cell1 != cell_true and len({cell1, cell_true}) == 2
     assert cfg(1, BOT) == one and len({one, cfg(1, BOT)}) == 1
     assert hash(one) == hash((one.net, one.astate))

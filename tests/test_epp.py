@@ -10,6 +10,7 @@ from choreo.core import (
     InputError,
     Prefix,
     Sel,
+    TRUE,
     ValCom,
     Var,
 )
@@ -158,7 +159,7 @@ def test_project_network_slices_the_store() -> None:
     prog = load_program("booksale.cr")
     net = epp.project_network(ce.normalize(prog.main), prog.init_sigma)
     stores = {p: store for p, (store, _) in net.proc_map().items()}
-    assert stores["a"] == {"title": "foo", "happy": True, "money": "$10"}
+    assert stores["a"] == {"title": "foo", "happy": TRUE, "money": "$10"}
     assert stores["c"] == {"price": "$10", "book": "foo.pdf"}
     assert stores["b"] == {}
 

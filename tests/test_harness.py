@@ -14,6 +14,7 @@ from choreo.core import (
     Port,
     RecvVal,
     Sel,
+    TRUE,
     ValCom,
     Var,
     validate_automaton,
@@ -70,7 +71,7 @@ def test_oracle_delivery_requires_matching_value() -> None:
     lbl = Constraint.of(_f(Mem("m"), Port("b")))
     assert lbl in oracle_by_label(oracle_eta_reductions(etas, {}, {"m": 5}))
     assert lbl not in oracle_by_label(oracle_eta_reductions(etas, {}, {"m": 6}))
-    assert lbl not in oracle_by_label(oracle_eta_reductions(etas, {}, {"m": True}))
+    assert lbl not in oracle_by_label(oracle_eta_reductions(etas, {}, {"m": TRUE}))
 
 
 def test_oracle_label_bound_is_a_pure_restriction() -> None:

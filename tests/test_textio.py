@@ -14,6 +14,7 @@ from choreo.core import (
     RecvSel,
     RecvVal,
     Sel,
+    TRUE,
     ValCom,
     Var,
 )
@@ -223,7 +224,7 @@ def test_literals_and_values() -> None:
     )
     prog = textio.parse_program(src + "main { 0 }")
     assert prog.init_sigma[("a", "y")] == "s"
-    assert prog.init_sigma[("a", "z")] is True
+    assert prog.init_sigma[("a", "z")] is TRUE
     assert prog.init_sigma[("a", "w")] == Label("done")
 
 
@@ -235,7 +236,7 @@ def test_comments_are_skipped() -> None:
 def test_format_value_round_trips_literals() -> None:
     assert textio.format_value(7) == "7"
     assert textio.format_value("s") == '"s"'
-    assert textio.format_value(True) == "true"
+    assert textio.format_value(TRUE) == "true"
     assert textio.format_value(Label("go")) == "[go]"
 
 
