@@ -4,7 +4,8 @@ The matcher decides whether one interaction set can fire one flow constraint;
 the exposure walk enumerates every head rewriting the structural precongruence
 admits (swapping independent prefixes, splitting and re-merging sets on the
 same connector, floating interactions out of conditionals, unfolding a call in
-head position); `reductions` combines both with the automaton states.
+head position); `iter_reductions` combines both with the automaton states, one
+successor at a time, and `reductions` lists them all.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
     BOT,
@@ -523,7 +524,7 @@ class Exposure:
         )
 
 
-def _valid_splits(etas: frozenset[Interaction]) -> list[tuple[frozenset[Interaction], frozenset[str]]]:
+def _set_splits(etas: frozenset[Interaction]) -> tuple[tuple[frozenset[Interaction], frozenset[str]], ...]:
     """Nonempty subsets that can be split off, with their processes.  A
     subset and its complement must not share processes, so the subsets are
     the unions of the set's process-connected parts, ordered by the bitmask
@@ -538,34 +539,40 @@ def _valid_splits(etas: frozenset[Interaction]) -> list[tuple[frozenset[Interact
                 mask, procs = mask | part[0], procs | part[1]
         parts.append((mask, procs))
     if len(parts) < 2:  # a connected set splits off only as a whole
-        return [(etas, procs) for _, procs in parts]
+        return tuple((etas, procs) for _, procs in parts)
     unions: list[tuple[int, frozenset[str]]] = [(0, frozenset())]
     for mask, procs in parts:
         unions += [(m | mask, p | procs) for m, p in unions]
-    return [
+    return tuple(
         (frozenset(eta for i, eta in enumerate(members) if mask >> i & 1), procs)
         for mask, procs in sorted(unions[1:])
-    ]
+    )
 
 
-def _splits(etas: frozenset[Interaction], gamma: str, cont, touching) -> list[Exposure]:
+# A set of n independent interactions has 2^n - 1 splits, so only sets of at
+# most four keep theirs between walks: 15 splits an entry at most.
+_small_set_splits = lru_cache(maxsize=512)(_set_splits)
+
+
+def _valid_splits(etas: frozenset[Interaction]):
+    """`_set_splits`, worked out once for a small set."""
+    return _small_set_splits(etas) if len(etas) <= 4 else _set_splits(etas)
+
+
+def _splits(etas: frozenset[Interaction], gamma: str, cont, touching) -> Iterator[Exposure]:
     """The subsets of a set on connector gamma that can be split off and
     meet `touching`, each with the rest left in place above cont.  A set
     that the step empties rebuilds to cont itself."""
-    out = []
     for subset, procs in _valid_splits(etas):
         if not touching.isdisjoint(subset):
             rest = etas - subset
-            out.append(
-                Exposure(
-                    "com",
-                    gamma,
-                    subset,
-                    procs,
-                    lambda r, rest=rest: Prefix(r | rest, gamma, cont) if r or rest else cont,
-                )
+            yield Exposure(
+                "com",
+                gamma,
+                subset,
+                procs,
+                lambda r, rest=rest: Prefix(r | rest, gamma, cont) if r or rest else cont,
             )
-    return out
 
 
 def exposures(
@@ -575,18 +582,18 @@ def exposures(
     allow_unfold: bool,
     above: frozenset = frozenset(),
     blocked: frozenset = frozenset(),
-) -> list[Exposure]:
-    """Com and cond exposures of c, each kind in enumeration order.  `above`
-    holds the processes of the nearest enclosing prefix, `blocked` those of
-    the two nearest."""
+) -> Iterator[Exposure]:
+    """Com and cond exposures of c, each kind in enumeration order, found as
+    they are asked for: a prefix's own splits before anything below it, and
+    under a conditional the else branch walked only once a then exposure
+    needs its partner.  `above` holds the processes of the nearest enclosing
+    prefix, `blocked` those of the two nearest."""
+    while isinstance(c, Call):  # unfolded in place, without a frame per call
+        if not (allow_unfold and c.name in env and c.name not in unfolded):
+            return
+        c, unfolded = env[c.name], unfolded | {c.name}
     if isinstance(c, End):
-        return []
-    if isinstance(c, Call):
-        if allow_unfold and c.name in env and c.name not in unfolded:
-            return exposures(
-                env[c.name], env, unfolded | {c.name}, allow_unfold, above, blocked
-            )
-        return []
+        return
     if isinstance(c, Prefix):
         # Skip c when the processes of the two nearest enclosing prefixes,
         # P1 and P2, cover all of c's: nothing in c can reach the head then,
@@ -609,52 +616,51 @@ def exposures(
         if my_pn <= blocked:  # only then can the whole of c be covered
             procs = known_pn(c)
             if procs is not None and procs <= blocked:
-                return []
-        out = _splits(etas, gamma, cont, etas)
+                return
+        yield from _splits(etas, gamma, cont, etas)
         for ex in exposures(cont, env, unfolded, allow_unfold, my_pn, my_pn | above):
             if ex.procs & my_pn:
                 continue  # blocked by this prefix
             if ex.kind == "com" and ex.subject == gamma:  # merge, then split again
-                out += _splits(etas | ex.what, gamma, normalize(ex.rebuild(frozenset())), ex.what)
+                yield from _splits(
+                    etas | ex.what, gamma, normalize(ex.rebuild(frozenset())), ex.what
+                )
             else:
-                out.append(ex.wrap(lambda t: Prefix(etas, gamma, t)))
-        return out
+                yield ex.wrap(lambda t: Prefix(etas, gamma, t))
+        return
     if isinstance(c, Cond):
-        out = [
-            Exposure(
-                "cond",
-                c.process,
-                c.guard,
-                frozenset({c.process}),
-                lambda b: c.then_branch if b else c.else_branch,
-            )
-        ]
-        then_exps = exposures(c.then_branch, env, unfolded, allow_unfold, above, blocked)
-        else_exps = exposures(c.else_branch, env, unfolded, allow_unfold, above, blocked)
-        for x1 in then_exps:
+        yield Exposure(
+            "cond",
+            c.process,
+            c.guard,
+            frozenset({c.process}),
+            lambda b: c.then_branch if b else c.else_branch,
+        )
+        else_exps = None
+        for x1 in exposures(c.then_branch, env, unfolded, allow_unfold, above, blocked):
             if c.process in x1.procs:
                 continue
+            if else_exps is None:
+                else_exps = list(
+                    exposures(c.else_branch, env, unfolded, allow_unfold, above, blocked)
+                )
             for x2 in else_exps:
                 if x1.kind == x2.kind and x1.subject == x2.subject and x1.what == x2.what:
-                    out.append(
-                        Exposure(
-                            x1.kind,
-                            x1.subject,
-                            x1.what,
-                            x1.procs,
-                            lambda r, r1=x1.rebuild, r2=x2.rebuild: Cond(
-                                c.process, c.guard, r1(r), r2(r)
-                            ),
-                        )
+                    yield Exposure(
+                        x1.kind,
+                        x1.subject,
+                        x1.what,
+                        x1.procs,
+                        lambda r, r1=x1.rebuild, r2=x2.rebuild: Cond(
+                            c.process, c.guard, r1(r), r2(r)
+                        ),
                     )
-        return out
+        return
     assert isinstance(c, Def)
     env2 = dict(env)
     env2[c.name] = c.body
-    return [
-        ex.wrap(lambda t: Def(c.name, c.body, t))
-        for ex in exposures(c.cont, env2, unfolded, allow_unfold, above, blocked)
-    ]
+    for ex in exposures(c.cont, env2, unfolded, allow_unfold, above, blocked):
+        yield ex.wrap(lambda t: Def(c.name, c.body, t))
 
 
 def head_exposures(c, unfold: bool = True) -> list[Exposure]:
@@ -667,18 +673,20 @@ def head_exposures(c, unfold: bool = True) -> list[Exposure]:
 # Reductions and runs
 
 
-def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
-    """All one-step successors, deterministically ordered and deduplicated.
-    A successor shares with cfg its store when the step writes none, and
-    the state of every connector but the fired one."""
+def iter_reductions(cfg: Configuration, g: ConnectorMapping) -> Iterator[Step]:
+    """Every one-step successor, deterministically ordered and deduplicated,
+    built as it is asked for: the com steps of each exposure as the walk
+    finds it, then the cond steps of the cond exposures it passed.  A
+    successor shares with cfg its store when the step writes none, and the
+    state of every connector but the fired one."""
     chor = normalize(cfg.chor)
     sigma, astate = cfg.sigma, cfg.astate
     store = SortedPairs(sigma)
-    exps = exposures(chor, {}, frozenset(), True)
-    out: list[Step] = []
+    conds: list[Exposure] = []
     seen: set = set()
-    for ex in exps:
+    for ex in exposures(chor, {}, frozenset(), True):
         if ex.kind != "com":
+            conds.append(ex)
             continue
         if ex.subject not in g:
             raise InputError(f"no automaton for connector {ex.subject}")
@@ -699,10 +707,8 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Step("com", ex.subject, t.phi, None, state, t.dst, succ))
-    for ex in exps:
-        if ex.kind != "cond":
-            continue
+            yield Step("com", ex.subject, t.phi, None, state, t.dst, succ)
+    for ex in conds:
         v = eval_expr(ex.what, store, ex.subject)
         if not isinstance(v, Bool):
             raise EvalError(f"guard at {ex.subject} is not a boolean: {v!r}")
@@ -711,10 +717,12 @@ def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
         if key in seen:
             continue
         seen.add(key)
-        out.append(
-            Step("cond", ex.subject, None, "then" if v else "else", None, None, succ)
-        )
-    return out
+        yield Step("cond", ex.subject, None, "then" if v else "else", None, None, succ)
+
+
+def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
+    """All one-step successors (`iter_reductions`), as a list."""
+    return list(iter_reductions(cfg, g))
 
 
 def run(
@@ -723,8 +731,11 @@ def run(
     max_steps: int = 1000,
     rng: "random.Random | None" = None,
 ) -> RunResult:
-    """Drive one execution of the choreography (`lts.run`)."""
-    return lts.run(cfg, lambda c: reductions(c, g), lambda c: is_terminated(c), max_steps, rng)
+    """Drive one execution of the choreography (`lts.run`).  Without an rng
+    it builds only the successor it takes."""
+    return lts.run(
+        cfg, lambda c: iter_reductions(c, g), lambda c: is_terminated(c), max_steps, rng
+    )
 
 
 def report_stuck(cfg: Configuration, g: ConnectorMapping) -> StuckReport:

@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     BOT,
@@ -387,14 +387,14 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
 # Reductions and runs
 
 
-def cp_reductions(
+def cp_iter_reductions(
     cfg: NetConfiguration, automata: ConnectorMapping
-) -> list[Step]:
-    """Every reduction of cfg: communications connector by connector, then
-    conditionals process by process, each in name order.  A successor shares
-    everything the step leaves alone with cfg."""
+) -> Iterator[Step]:
+    """Every reduction of cfg, built as it is asked for: communications
+    connector by connector, then conditionals process by process, each in
+    name order.  A successor shares everything the step leaves alone with
+    cfg."""
     astate, procs = cfg.astate, cfg.net.procs
-    out: list[Step] = []
     seen: set = set()
     for k, (g, (state, cells)) in enumerate(astate):
         if g not in automata:
@@ -410,7 +410,7 @@ def cp_reductions(
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Step("com", g, t.phi, None, state, t.dst, succ))
+            yield Step("com", g, t.phi, None, state, t.dst, succ)
     for i, (q, store, b) in enumerate(procs):
         focus = head_focus(b)
         if focus is None or not isinstance(focus.action, BCond):
@@ -425,10 +425,12 @@ def cp_reductions(
         if key in seen:
             continue
         seen.add(key)
-        out.append(
-            Step("cond", q, None, "then" if v else "else", None, None, succ)
-        )
-    return out
+        yield Step("cond", q, None, "then" if v else "else", None, None, succ)
+
+
+def cp_reductions(cfg: NetConfiguration, automata: ConnectorMapping) -> list[Step]:
+    """Every reduction of cfg (`cp_iter_reductions`), as a list."""
+    return list(cp_iter_reductions(cfg, automata))
 
 
 def cp_terminated(cfg: NetConfiguration) -> bool:
@@ -441,9 +443,14 @@ def cp_run(
     max_steps: int = 1000,
     rng: "random.Random | None" = None,
 ) -> RunResult:
-    """Drive one execution of the network (`lts.run`)."""
+    """Drive one execution of the network (`lts.run`).  Without an rng it
+    builds only the successor it takes."""
     return lts.run(
-        cfg, lambda c: cp_reductions(c, automata), lambda c: cp_terminated(c), max_steps, rng
+        cfg,
+        lambda c: cp_iter_reductions(c, automata),
+        lambda c: cp_terminated(c),
+        max_steps,
+        rng,
     )
 
 

@@ -364,12 +364,16 @@ def _merge_node(b1: Behaviour, b2: Behaviour, _path: tuple[str, ...]) -> Behavio
 
 
 def _describe(b: Behaviour) -> str:
+    """A behaviour's first action, in the network syntax, with what it sends
+    or the variable it receives into."""
+    from .textio import pretty_expr  # lazy: textio imports this module
+
     if isinstance(b, BEnd):
         return "0"
     if isinstance(b, Send):
-        return f"send {b.port.local()}"
+        return f"send {b.port.local()} <{pretty_expr(b.expr)}>"
     if isinstance(b, Recv):
-        return f"recv {b.port.local()}"
+        return f"recv {b.port.local()} {b.var}"
     if isinstance(b, SelSend):
         return f"sel {b.port.local()} [{b.label}]"
     if isinstance(b, Branch):

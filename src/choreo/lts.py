@@ -1,9 +1,11 @@
 """The labelled transition system both semantics share.
 
-A semantics hands in a successor function, from a state to its `Step`s in a
-fixed order, and a test for successful termination.  `run` drives one
-execution, `search` explores breadth first, and `stuck_report` explains a
-state that has no step.
+A semantics hands in a successor function, from a state to an iterable of
+its `Step`s in a fixed order, and a test for successful termination.  `run`
+drives one execution, `search` explores breadth first, and `stuck_report`
+explains a state that has no step.  `run`'s successor function may build
+its steps lazily: without an rng it takes only the first, so a generator
+builds only the step taken.  `search` expands every step and takes a list.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable
 
 # the stage at which an attempted transition failed
@@ -43,7 +46,7 @@ def _flow_strings(phi) -> tuple:
     return tuple(str(f.src) + ">" + str(f.dst) for f in phi.sorted_flows())
 
 
-Successors = Callable[[object], "list[Step]"]
+Successors = Callable[[object], Iterable[Step]]
 
 
 class Outcome(Enum):
@@ -67,12 +70,13 @@ def run(
     rng: "random.Random | None",
 ) -> RunResult:
     """Drive one execution.  Without an rng the scheduler takes the first
-    step in enumeration order; with one, a uniformly random step."""
+    step in enumeration order, and asks for no other; with one, it lists
+    every step and takes a uniformly random one."""
     trace: list[Step] = []
     while True:
         if terminated(cfg):
             return RunResult(Outcome.TERMINATED, cfg, trace)
-        steps = successors(cfg)
+        steps = list(islice(successors(cfg), 1 if rng is None else None))
         if not steps:
             return RunResult(Outcome.STUCK, cfg, trace)
         if len(trace) >= max_steps:
@@ -94,7 +98,7 @@ class Search:
 
 def search(
     start,
-    successors: Successors,
+    successors: Callable[[object], "list[Step]"],
     depth: int,
     terminated: "Callable[[object], bool] | None" = None,
     goal: "Callable[[object], bool] | None" = None,

@@ -238,17 +238,20 @@ def test_long_chain_runs_to_its_replayed_store() -> None:
 
 
 def _splits_per_step(monkeypatch, n: int) -> list[int]:
+    # a run takes only the first step of each state, so each state's steps
+    # are listed here in full: the bound is on the whole exposure walk, as
+    # `exhaustive_explore`, `check` and `correspond` consume it
     calls = [0]
     per_step: list[int] = []
-    splits, reductions = ce._valid_splits, ce.reductions
+    splits, iter_reductions = ce._valid_splits, ce.iter_reductions
 
     def counted_splits(etas):
         calls[0] += 1
         return splits(etas)
 
-    def counted_reductions(cfg, g):
+    def counted_iter_reductions(cfg, g):
         before = calls[0]
-        out = reductions(cfg, g)
+        out = list(iter_reductions(cfg, g))
         per_step.append(calls[0] - before)
         return out
 
@@ -256,9 +259,10 @@ def _splits_per_step(monkeypatch, n: int) -> list[int]:
     prog = textio.parse_program(text)
     with monkeypatch.context() as m:
         m.setattr(ce, "_valid_splits", counted_splits)
-        m.setattr(ce, "reductions", counted_reductions)
+        m.setattr(ce, "iter_reductions", counted_iter_reductions)
         res = ce.run(ce.initial_configuration(prog), prog.connectors, max_steps=2 * steps)
     assert res.outcome is ce.Outcome.TERMINATED
+    assert len(per_step) == steps
     return per_step
 
 
@@ -287,6 +291,16 @@ def test_every_pair_of_a_wide_set_can_pass_the_head(n: int) -> None:
     assert [r.subject for r in rs] == ["h"] + ["g"] * (n - 1)
     left_behind = {r.config.chor.cont.etas for r in rs[1:]}  # one pair fired each
     assert len(left_behind) == n - 1
+
+
+def test_only_small_sets_keep_their_splits() -> None:
+    # a set of n independent interactions has 2^n - 1 splits, so an
+    # exhaustive search over a wide set would keep one such list per
+    # residual set; only the head's single interaction is kept here
+    prog = textio.parse_program(_wide_set_program(6))
+    ce._small_set_splits.cache_clear()
+    ce.reductions(ce.initial_configuration(prog), prog.connectors)
+    assert ce._small_set_splits.cache_info().currsize == 1
 
 
 def test_step_cost_does_not_grow_with_chain_length(monkeypatch) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -223,3 +224,37 @@ def test_check_output_is_pinned_on_every_fixture(capsys, modular) -> None:
         code, out, _ = _run(capsys, *argv)
         assert json.loads(out) == pinned, name
         assert code == (0 if pinned["compatible"] else 1)
+
+
+RUN_PINS = json.loads((Path(__file__).parent / "run_pins.json").read_text())
+
+
+def _run_pin_argvs() -> list[list[str]]:
+    """The pinned command lines: `run` and `simulate` on every fixture that
+    takes them, text and JSON, with and without a seed."""
+    argvs = []
+    for path in sorted(FIXTURES.glob("*.cr")) + sorted(FIXTURES.glob("*.cp")):
+        for cmd in ("run", "simulate") if path.suffix == ".cr" else ("simulate",):
+            for seed in ([], ["--seed", "3"]):
+                for fmt in ([], ["--json"]):
+                    argvs.append([cmd, path.name, "--max-steps", "300", *seed, *fmt])
+    return argvs
+
+
+def _run_pin(code: int, out: str, err: str) -> dict:
+    """What a pin keeps of one command's result: its exit status, its error
+    output and a digest of its output."""
+    return {
+        "exit": code,
+        "stderr": err,
+        "lines": out.count("\n"),
+        "sha256": hashlib.sha256(out.encode()).hexdigest(),
+    }
+
+
+def test_run_and_simulate_output_is_pinned_on_every_fixture(capsys) -> None:
+    # recorded when every run still built every successor of every state
+    argvs = {" ".join(argv): argv for argv in _run_pin_argvs()}
+    assert sorted(RUN_PINS) == sorted(argvs)
+    for key, (cmd, name, *rest) in argvs.items():
+        assert _run_pin(*_run(capsys, cmd, _fx(name), *rest)) == RUN_PINS[key], key

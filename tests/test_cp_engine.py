@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from choreo import cp_engine as cpe
 from choreo import epp, harness, textio
 from choreo import chor_engine as ce
@@ -9,7 +11,7 @@ from choreo.cli import _project
 from choreo.core import BOT, TRUE, Const, Constraint, Flow, Label, Mem, Port, Var
 from choreo.epp import BCall, BDef, BEnd, Branch, PortName, Recv, SelSend, Send
 
-from conftest import fixture_text, load_program, ring_chain
+from conftest import RING_AUTOMATA, fixture_text, load_program, parallel_pairs, ring_chain
 
 
 def _net(**procs) -> cpe.Network:
@@ -234,17 +236,75 @@ def test_long_chain_simulates_to_its_replayed_store() -> None:
     assert {(q, x): v for q, store in last.items() for x, v in store} == exits
 
 
+@pytest.mark.parametrize("k", [4, 12])
+def test_a_run_builds_only_the_successor_it_takes(monkeypatch, k: int) -> None:
+    # every pair can move at every state, but without a seed a run takes the
+    # first step, and neither engine's step generator builds another
+    prog = textio.parse_program(parallel_pairs(k, "Sync"))
+    cp = _project(prog)
+    built = [0]
+    for cls in (ce.Configuration, cpe.NetConfiguration):
+        def counted_init(self, *args, _init=cls.__init__):
+            built[0] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    for run, start, automata in (
+        (ce.run, ce.initial_configuration(prog), prog.connectors),
+        (cpe.cp_run, cp.init, cp.automata),
+    ):
+        built[0] = 0
+        res = run(start, automata)
+        assert res.outcome is cpe.Outcome.TERMINATED
+        assert built[0] == len(res.trace) == k
+
+
+BAD_GUARD = RING_AUTOMATA + """
+connectors { g: Sync[a/p1, b/p2]; }
+init { a.x = 1; c.v = 5; }
+main { a.x -> b.y thru g; if c.v then { 0 } else { 0 } }
+"""
+
+
+def test_a_bad_guard_raises_only_when_a_run_asks_for_its_step() -> None:
+    # the com step comes first and a run without a seed takes it without
+    # evaluating c's guard; listing every step, or a seeded run, evaluates
+    # the guard at once
+    prog = textio.parse_program(BAD_GUARD)
+    cfg = ce.initial_configuration(prog)
+    cp = _project(prog)
+    for run, steps, start, automata in (
+        (ce.run, ce.iter_reductions, cfg, prog.connectors),
+        (cpe.cp_run, cpe.cp_iter_reductions, cp.init, cp.automata),
+    ):
+        res = run(start, automata, max_steps=0)
+        assert res.outcome is cpe.Outcome.MAX_STEPS and res.trace == []
+        first = next(steps(start, automata))
+        assert (first.kind, first.subject) == ("com", "g")
+        with pytest.raises(ce.EvalError, match="guard at c is not a boolean: 5"):
+            next(steps(first.config, automata))
+        with pytest.raises(ce.EvalError, match="guard at c is not a boolean: 5"):
+            run(start, automata)
+        with pytest.raises(ce.EvalError):
+            list(steps(start, automata))
+        with pytest.raises(ce.EvalError):
+            run(start, automata, max_steps=0, rng=random.Random(0))
+
+
 _NODES = (Send, Recv, SelSend, Branch, epp.BCond, BDef)
 
 
 def _nodes_per_step(monkeypatch, n: int) -> list[int]:
+    # a run takes only the first step of each state, so each state's steps
+    # are listed here in full: the bound covers every successor, as
+    # `exhaustive_explore`, `check` and `correspond` build them
     built = [0]
     per_step: list[int] = []
-    reductions = cpe.cp_reductions
+    iter_reductions = cpe.cp_iter_reductions
 
-    def counted_reductions(cfg, automata):
+    def counted_iter_reductions(cfg, automata):
         before = built[0]
-        out = reductions(cfg, automata)
+        out = list(iter_reductions(cfg, automata))
         per_step.append(built[0] - before)
         return out
 
@@ -257,11 +317,12 @@ def _nodes_per_step(monkeypatch, n: int) -> list[int]:
                 _init(self, *args)
 
             m.setattr(cls, "__init__", counted_init)
-        m.setattr(cpe, "cp_reductions", counted_reductions)
+        m.setattr(cpe, "cp_iter_reductions", counted_iter_reductions)
         cp = _project(prog)
         assert built[0] >= n  # the projection is counted, so the count works
         res = cpe.cp_run(cp.init, cp.automata, max_steps=2 * steps)
     assert res.outcome is cpe.Outcome.TERMINATED
+    assert len(per_step) == steps
     return per_step
 
 

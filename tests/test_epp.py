@@ -6,6 +6,7 @@ from choreo import chor_engine as ce
 from choreo import epp
 from choreo.core import (
     Cond,
+    Const,
     END,
     InputError,
     Prefix,
@@ -144,6 +145,26 @@ def test_unprojectable_conditional() -> None:
         project_behaviour(c, "b")
     assert err.value.process == "b"
     assert not epp.projectable(c)
+
+
+def test_merge_failure_names_what_is_sent_and_what_is_received() -> None:
+    # the branches send q's 1 and q's true through c2, and r receives into
+    # x or into y: a merge error must show where the two sides differ
+    def branch(expr, var):
+        return Prefix(frozenset({ValCom("q", expr, "r", var)}), "c2", END)
+
+    sends = Cond("p", Var("c"), branch(Const(1), "x"), branch(Const(TRUE), "x"))
+    with pytest.raises(Unprojectable) as err:
+        project_behaviour(sends, "q")
+    assert str(err.value) == (
+        "no projection for q: merge undefined at top: send o_c2 <1> vs send o_c2 <true>"
+    )
+    receives = Cond("p", Var("c"), branch(Var("v"), "x"), branch(Var("v"), "y"))
+    with pytest.raises(Unprojectable) as err:
+        project_behaviour(receives, "r")
+    assert str(err.value) == (
+        "no projection for r: merge undefined at top: recv i_c2 x vs recv i_c2 y"
+    )
 
 
 def test_selection_makes_the_conditional_projectable() -> None:
