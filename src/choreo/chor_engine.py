@@ -345,7 +345,7 @@ def match_constraint(
     phi: Constraint,
     mu: MemorySnapshot,
     sigma: "Mapping[tuple[str, str], Value] | None" = None,
-    fresh: "Callable[[], Value] | None" = None,
+    fresh: "Callable[[str], Value] | None" = None,
 ):
     """Shared matcher for the concrete and the symbolic semantics.
 
@@ -421,7 +421,7 @@ def match_constraint(
                 group_value[eta.sender] = eval_expr(eta.expr, sigma, eta.sender)
             else:
                 assert fresh is not None
-                group_value[eta.sender] = fresh()
+                group_value[eta.sender] = fresh(eta.sender)
 
     # data premises against the pre-state
     for f in mm:

@@ -369,6 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    for flag in ("max_steps", "bound"):
+        if getattr(args, flag, 0) < 0:
+            print(f"error: --{flag.replace('_', '-')} must not be negative", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (textio.ParseError, InputError, chor_engine.EvalError, OSError) as exc:

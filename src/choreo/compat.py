@@ -2,7 +2,10 @@
 diamond confluence check on automata.
 
 The checker walks the choreography structurally.  Communication values are
-replaced by fresh tokens, so verdicts hold for every initial store.  Each
+replaced by tokens, so verdicts hold for every initial store.  The n-th
+datum process `a` sends on a path is `FreshToken("a", n)`, printed `#a.n`:
+a process's count only grows along a path, so the tokens of one path are
+distinct, and every order of the same sends makes the same tokens.  Each
 procedure gets one shared unknown connector-state, fixed at its first call
 and required (up to a consistent renaming of tokens) at every later call.
 The worklist always replaces an item by strictly smaller items under the
@@ -52,29 +55,30 @@ from .chor_engine import (
 )
 
 
-class TokenSource:
-    def __init__(self) -> None:
-        self._n = 0
-
-    def fresh(self) -> FreshToken:
-        self._n += 1
-        return FreshToken(self._n)
-
-
 def abstract_match(
     etas: frozenset[Interaction],
     phi,
     mu: MemorySnapshot,
-    tokens: TokenSource,
+    sent: Mapping[str, int],
 ):
-    """Value-free variant of the transition matcher: sent data become fresh
-    tokens (one per sending process and step).  Returns (etas', mu') or None,
-    where mu' is a ChainMap of the step's writes (`.maps[0]`) over mu."""
-    m = match_constraint(etas, phi, mu, sigma=None, fresh=tokens.fresh)
+    """Value-free variant of the transition matcher: the datum a process
+    sends in this step becomes a token numbered one past its count in `sent`,
+    the data it has sent so far on this path.  Returns (etas', mu', sent') or
+    None, where mu' is a ChainMap of the step's writes (`.maps[0]`) over mu
+    and sent' is `sent` itself when the step sends nothing."""
+    senders: list[str] = []
+
+    def fresh(sender: str) -> FreshToken:
+        senders.append(sender)
+        return FreshToken(sender, sent.get(sender, 0) + 1)
+
+    m = match_constraint(etas, phi, mu, sigma=None, fresh=fresh)
     if isinstance(m, str):
         return None
     out, _sigma_writes, mu_writes = m
-    return (out, ChainMap(mu_writes, mu))
+    if senders:
+        sent = {**sent, **{p: sent.get(p, 0) + 1 for p in senders}}
+    return (out, ChainMap(mu_writes, mu), sent)
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +225,27 @@ def check_compatibility(
         raise InputError("undefined connectors: " + ", ".join(missing))
     if a0 is None:
         a0 = {name: (a.init_state, a.init_mem_map()) for name, a in g.items()}
-    tokens = TokenSource()
     root = freeze_astate(a0)
-    # An entry is (key, parent judgement, via); the key is the judgement
-    # itself: procedure frame, connector state and choreography.  A judgement
+    # An entry is (key, parent judgement, via, sent): the key is the judgement
+    # itself, procedure frame, connector state and choreography, and `sent`,
+    # the path's send counts, names the tokens made below it.  A judgement
     # whose key was checked before is skipped.  This is exact.  Every
     # successor is strictly smaller (asserted below), so no key recurs in its
     # own subtree, and the stack finishes a key's whole subtree, without
-    # failure, before any duplicate of it is popped.  The duplicate's subtree
-    # would check the same judgements up to a renaming of the tokens minted in
-    # it, against StateVar values the first subtree has already fixed, and
-    # re-entry compares token-renamed states.  So verdicts, failing
-    # judgements, attempts and paths stay what they were without the memo,
-    # and only the count of judgements falls; the one trace of a skip is that
-    # tokens minted after it are numbered lower.  The frame holds the StateVar
-    # objects themselves, never their ids, which a freed one can hand on.
-    worklist: list[tuple] = [(((), root, c), None, "start")]
+    # failure, before any duplicate of it is popped.  The duplicate's path
+    # made every token of the key too, so a token made below is new on both
+    # paths, and the duplicate's subtree would check the same judgements up to
+    # a renaming of the tokens made in it, against StateVar values the first
+    # subtree has already fixed; re-entry compares token-renamed states.  So
+    # verdicts, failing judgements, attempts and paths, tokens included, stay
+    # what they were without the memo, and only the count of judgements
+    # falls.  The frame holds the StateVar objects themselves, never their
+    # ids, which a freed one can hand on.
+    worklist: list[tuple] = [(((), root, c), None, "start", {})]
     visited: set[tuple] = set()
     checked = 0
     while worklist:
-        key, parent, via = worklist.pop()
+        key, parent, via, sent = worklist.pop()
         if key in visited:
             continue
         visited.add(key)
@@ -270,8 +275,8 @@ def check_compatibility(
         budget = size(ch)
         if isinstance(ch, Cond):
             succs = [
-                (gamma, astate, normalize(ch.then_branch), f"{ch.process}: then branch"),
-                (gamma, astate, normalize(ch.else_branch), f"{ch.process}: else branch"),
+                (gamma, astate, normalize(ch.then_branch), f"{ch.process}: then branch", sent),
+                (gamma, astate, normalize(ch.else_branch), f"{ch.process}: else branch", sent),
             ]
         elif isinstance(ch, Def):
             var = StateVar(
@@ -282,12 +287,12 @@ def check_compatibility(
             var.body = ch.body
             gamma2 = gamma + ((ch.name, var),)
             succs = [
-                (gamma2, astate, normalize(ch.cont), f"after def {ch.name}"),
-                (gamma2, astate, normalize(ch.body), f"body of {ch.name}"),
+                (gamma2, astate, normalize(ch.cont), f"after def {ch.name}", sent),
+                (gamma2, astate, normalize(ch.body), f"body of {ch.name}", sent),
             ]
         else:
             assert isinstance(ch, Prefix)
-            succs, tried = _prefix_successors(j, g, tokens)
+            succs, tried = _prefix_successors(j, g, sent)
             if not succs:
                 return CompatNo(
                     j,
@@ -295,20 +300,21 @@ def check_compatibility(
                     [_describe(*attempt) + ": no match" for attempt in tried],
                 )
         pushes = []
-        for gamma2, astate2, chor2, via2 in succs:
+        for gamma2, astate2, chor2, via2, sent2 in succs:
             assert size(chor2) < budget
             key2 = (gamma2, astate2, chor2)
             if key2 not in visited:
-                pushes.append((key2, j, via2))
+                pushes.append((key2, j, via2, sent2))
         worklist.extend(reversed(pushes))
     return CompatYes(checked)
 
 
-def _prefix_successors(j: Judgement, g: ConnectorMapping, tokens: TokenSource):
-    """The (gamma, astate, chor, via) successors of a prefix judgement, one for
-    every connector transition that serves a head interaction set, and every
-    attempt as (connector, etas, transition, state).  A successor's `via` is
-    its attempt, rendered only when a path is read."""
+def _prefix_successors(j: Judgement, g: ConnectorMapping, sent: Mapping[str, int]):
+    """The (gamma, astate, chor, via, sent) successors of a prefix judgement
+    reached with send counts `sent`, one for every connector transition that
+    serves a head interaction set, and every attempt as (connector, etas,
+    transition, state).  A successor's `via` is its attempt, rendered only
+    when a path is read."""
     astate = j.astate
     succs: list[tuple] = []
     tried: list[tuple] = []
@@ -319,14 +325,14 @@ def _prefix_successors(j: Judgement, g: ConnectorMapping, tokens: TokenSource):
         for t in g[ex.subject].outgoing(state):
             if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
                 continue  # consumes nothing; see module docstring
-            m = abstract_match(ex.what, t.phi, mu, tokens)
+            m = abstract_match(ex.what, t.phi, mu, sent)
             attempt = (ex.subject, ex.what, t, state)
             tried.append(attempt)
             if m is None:
                 continue
-            residual, mu2 = m
+            residual, mu2, sent2 = m
             astate2 = fire(astate, k, t.dst, mu2.maps[0])
-            succs.append((j.gamma, astate2, normalize(ex.rebuild(residual)), attempt))
+            succs.append((j.gamma, astate2, normalize(ex.rebuild(residual)), attempt, sent2))
     return succs, tried
 
 

@@ -36,12 +36,14 @@ class Label:
 
 @dataclass(frozen=True, slots=True)
 class FreshToken:
-    """Opaque datum minted by the symbolic run of the compatibility checker."""
+    """Opaque datum of the compatibility checker's symbolic run: the n-th
+    datum `sender` has sent on the path that made it, printed `#sender.n`."""
 
-    ident: int
+    sender: str
+    n: int
 
     def __repr__(self) -> str:
-        return f"#{self.ident}"
+        return f"#{self.sender}.{self.n}"
 
 
 class Bool:
@@ -111,7 +113,7 @@ def value_key(v: Value) -> tuple:
     if isinstance(v, Label):
         return (3, v.name)
     if isinstance(v, FreshToken):
-        return (4, str(v.ident))
+        return (4, repr(v))
     return (5, "")  # BOT
 
 

@@ -117,6 +117,8 @@ def search(
 
     Every edge, and every set of the result, holds the object first reached
     for a state, so an equal successor built later is not kept alive."""
+    if depth < 0:
+        raise ValueError(f"search depth {depth} is negative")
     res = Search({start}, set(), set(), set(), False)
     nodes, edges = res.nodes, res.edges
     held = {start: start}  # each member of nodes, by itself

@@ -769,7 +769,7 @@ def format_value(v: Value) -> str:
     if isinstance(v, Label):
         return f"[{v.name}]"
     if isinstance(v, FreshToken):
-        return f"#{v.ident}"
+        return repr(v)
     return "bot"
 
 

@@ -192,6 +192,23 @@ def test_run_too_deeply_nested_is_an_input_error(tmp_path: Path, capsys) -> None
     assert err.startswith("error: ") and "nested too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correspond", "booksale.cr", "--bound", "-1"],
+        ["run", "booksale.cr", "--max-steps", "-5"],
+        ["simulate", "booksale.cp", "--max-steps", "-5"],
+    ],
+)
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_negative_bound_or_step_limit_is_rejected(capsys, argv, fmt) -> None:
+    # neither may pass for an empty but complete search or run
+    cmd, name, *rest = argv
+    code, out, err = _run(capsys, cmd, _fx(name), *rest, *fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: {rest[0]} must not be negative\n"
+
+
 def test_check_long_chain_from_a_file(tmp_path: Path, capsys) -> None:
     # the precondition walks and the size metric loop along prefix spines
     chain = tmp_path / "chain.cr"

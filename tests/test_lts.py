@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from choreo.lts import Step, search
 
 
@@ -32,6 +34,15 @@ def test_search_without_a_termination_test_is_truncated_exactly_when_states_rema
         assert res.truncated is truncated, depth
         assert calls == [0, 1, 2][:depth]
         assert res.stuck == ({2} if depth > 2 else set())
+
+
+def test_search_rejects_a_negative_depth() -> None:
+    # a negative depth would loop no level and report a complete search
+    successors, calls = _graph({0: [1]})
+    for terminated in (None, lambda n: False):
+        with pytest.raises(ValueError):
+            search(0, successors, -1, terminated)
+    assert calls == []
 
 
 def test_search_with_a_termination_test_classifies_the_last_level() -> None:
