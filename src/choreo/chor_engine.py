@@ -575,6 +575,11 @@ def _splits(etas: frozenset[Interaction], gamma: str, cont, touching) -> Iterato
             )
 
 
+def prefix_splits(c: Prefix) -> Iterator[Exposure]:
+    """The exposures of prefix c's own set, which `exposures` yields first."""
+    return _splits(c.etas, c.connector, c.cont, c.etas)
+
+
 def exposures(
     c,
     env: dict,
@@ -617,7 +622,7 @@ def exposures(
             procs = known_pn(c)
             if procs is not None and procs <= blocked:
                 return
-        yield from _splits(etas, gamma, cont, etas)
+        yield from prefix_splits(c)
         for ex in exposures(cont, env, unfolded, allow_unfold, my_pn, my_pn | above):
             if ex.procs & my_pn:
                 continue  # blocked by this prefix

@@ -15,10 +15,11 @@ interaction (pure cell-to-cell moves) are skipped here: the runtime permits
 them, but following them would not shrink anything.  Every node works its
 metric out when it is built, so the assertion reads one field.
 
-A judgement is a procedure frame, a connector state and a choreography, and
-the worklist checks each distinct one once; the comment at its memo says why
-the verdict stays the same.  Transitions are rendered as text only for a
-negative verdict's report and path.
+A judgement is a procedure frame, a connector state and a choreography; the
+worklist checks each distinct one once, and fires only the first prefix while
+no other prefix uses its connector.  Comments at the memo and in
+`_prefix_successors` say why the verdict stays the same.  Transitions are
+rendered as text only for a negative verdict's report and path.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .chor_engine import (
     head_exposures,
     match_constraint,
     normalize,
+    prefix_splits,
 )
 
 
@@ -315,25 +317,36 @@ def _prefix_successors(j: Judgement, g: ConnectorMapping, sent: Mapping[str, int
     serves a head interaction set, and every attempt as (connector, etas,
     transition, state).  A successor's `via` is its attempt, rendered only
     when a path is read."""
-    astate = j.astate
-    succs: list[tuple] = []
-    tried: list[tuple] = []
-    for ex in head_exposures(j.chor, unfold=False):
-        k = find_key(astate, ex.subject)
-        state, cells = astate[k][1]
-        mu = SortedPairs(cells)
-        for t in g[ex.subject].outgoing(state):
-            if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
-                continue  # consumes nothing; see module docstring
-            m = abstract_match(ex.what, t.phi, mu, sent)
-            attempt = (ex.subject, ex.what, t, state)
-            tried.append(attempt)
-            if m is None:
-                continue
-            residual, mu2, sent2 = m
-            astate2 = fire(astate, k, t.dst, mu2.maps[0])
-            succs.append((j.gamma, astate2, normalize(ex.rebuild(residual)), attempt, sent2))
-    return succs, tried
+    # While no other prefix uses the head's connector g, follow only the
+    # head's own sets if g serves one (a persistent set, Godefroid 1996).
+    # Exact: (1) only the head's sets touch g, as none can merge; (2) any
+    # other exposure has passed the head, so shares no process with it, uses
+    # another connector and commutes with each head step to the same key, as
+    # tokens are named by sender and count; (3) so each End, Call or failing
+    # judgement below, and each Cond or Def one (the head consumed), is still
+    # reached by a head step; (4) head steps come first and are popped first,
+    # and a failing judgement, with no head step, lists every attempt.
+    ch, astate = j.chor, j.astate
+    for head_only in (ch.connector not in ch.cont.conns, False):
+        succs: list[tuple] = []
+        tried: list[tuple] = []
+        for ex in prefix_splits(ch) if head_only else head_exposures(ch, unfold=False):
+            k = find_key(astate, ex.subject)
+            state, cells = astate[k][1]
+            mu = SortedPairs(cells)
+            for t in g[ex.subject].outgoing(state):
+                if all(not isinstance(f.src, Port) and not isinstance(f.dst, Port) for f in t.phi.flows):
+                    continue  # consumes nothing; see module docstring
+                m = abstract_match(ex.what, t.phi, mu, sent)
+                attempt = (ex.subject, ex.what, t, state)
+                tried.append(attempt)
+                if m is None:
+                    continue
+                residual, mu2, sent2 = m
+                astate2 = fire(astate, k, t.dst, mu2.maps[0])
+                succs.append((j.gamma, astate2, normalize(ex.rebuild(residual)), attempt, sent2))
+        if succs or not head_only:
+            return succs, tried
 
 
 def _describe(connector: str, etas, t: Transition, state: str) -> str:

@@ -72,6 +72,8 @@ def run(
     """Drive one execution.  Without an rng the scheduler takes the first
     step in enumeration order, and asks for no other; with one, it lists
     every step and takes a uniformly random one."""
+    if max_steps < 0:
+        raise ValueError(f"step limit {max_steps} is negative")
     trace: list[Step] = []
     while True:
         if terminated(cfg):

@@ -84,12 +84,13 @@ def ring_chain(n: int, seed: int = 0) -> tuple[str, int, dict, dict]:
     return text, steps, store, exits
 
 
-def parallel_pairs(k: int, kind: str) -> str:
+def parallel_pairs(k: int, kind: str, rounds: int = 1) -> str:
     """k independent interactions s<i>.x -> r<i>.y, each through its own
-    connector of one kind, `Sync` or `Buffer1`."""
+    connector of one kind, `Sync` or `Buffer1`, done `rounds` times: every
+    pair's first, then every pair's second, and so on."""
     bindings = "".join(f"  c{i}: {kind}[s{i}/p1, r{i}/p2];\n" for i in range(k))
     init = "".join(f"  s{i}.x = {i};\n" for i in range(k))
-    lines = "".join(f"  s{i}.x -> r{i}.y thru c{i};\n" for i in range(k))
+    lines = "".join(f"  s{i}.x -> r{i}.y thru c{i};\n" for _ in range(rounds) for i in range(k))
     return (
         f"{RING_AUTOMATA}\nconnectors {{\n{bindings}}}\n\ninit {{\n{init}}}\n\n"
         f"main {{\n{lines}  0\n}}\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from choreo.core import (
 )
 from choreo.harness import exhaustive_explore, load_automaton
 
-from conftest import load_expect, load_program, parallel_pairs, ring_chain
+from conftest import RING_AUTOMATA, load_expect, load_program, parallel_pairs, ring_chain
 
 VERDICTS = [
     ("booksale.cr", True, None, None),
@@ -143,9 +144,28 @@ def test_procedure_state_comparison_is_type_strict(text, modular) -> None:
     assert n == 1 and n is not True
 
 
+def _unreduced(monkeypatch) -> None:
+    """Switch the head rule off: with no head split served first, every
+    prefix judgement gets every exposure's steps, as a check without the
+    rule would."""
+    monkeypatch.setattr(compat, "prefix_splits", lambda c: ())
+
+
 @pytest.mark.parametrize("k", range(2, 9))
-def test_independent_sync_interactions_take_two_to_the_k_judgements(k) -> None:
-    # one judgement per subset of interactions done, whatever the order
+def test_independent_sync_interactions_take_k_plus_one_judgements(k) -> None:
+    # no other prefix uses the head's connector, so only the head fires: the
+    # judgements are the k + 1 suffixes of the chain of interactions
+    prog = textio.parse_program(parallel_pairs(k, "Sync"))
+    for modular in (False, True):
+        verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
+        assert verdict.judgements_checked == k + 1
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_independent_sync_interactions_take_two_to_the_k_judgements(k, monkeypatch) -> None:
+    # without the head rule, the memo alone keeps one judgement per subset of
+    # interactions done, whatever the order
+    _unreduced(monkeypatch)
     prog = textio.parse_program(parallel_pairs(k, "Sync"))
     verdict = compat.check_compatibility(prog.main, prog.connectors)
     assert verdict.judgements_checked == 2**k
@@ -153,13 +173,125 @@ def test_independent_sync_interactions_take_two_to_the_k_judgements(k) -> None:
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_buffer1_pair_judgement_counts_are_pinned(k) -> None:
-    # a buffered datum is named by its sender and send count, so every order
-    # that fills the same buffers makes the same tokens and meets the others
-    # in the memo: one judgement per pair state (empty, full, delivered)
+    # only the head pair fires, while no other prefix uses its connector:
+    # its send, then its receive, so each pair adds two judgements
     prog = textio.parse_program(parallel_pairs(k, "Buffer1"))
     for modular in (False, True):
         verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
-        assert verdict.judgements_checked == 3**k
+        assert verdict.judgements_checked == 2 * k + 1
+
+
+@pytest.mark.parametrize(
+    "kind,states", [("Sync", 3), ("Buffer1", 5)], ids=["sync", "buffer1"]
+)
+@pytest.mark.parametrize("k", range(2, 6))
+def test_pairs_that_reuse_their_connector_meet_in_the_memo(k, kind, states) -> None:
+    # every pair sends twice through its own connector, all first sends
+    # before all second ones, so the head's connector is used again below
+    # until every first send is done, and the head rule drops no judgement;
+    # the memo keeps one per combination of pair states: 0, 1 or 2 data
+    # delivered through Sync, and with Buffer1 also a first or second datum
+    # in the cell
+    prog = textio.parse_program(parallel_pairs(k, kind, rounds=2))
+    for modular in (False, True):
+        verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
+        assert verdict.judgements_checked == states**k
+
+
+# Serves the pair on p1, p2 or the pair on p3, p4 first; the second pair
+# after the first, but never the first after the second.
+FORK = """automaton Fork {
+  states 1, 2, 3, 4;
+  ports p1, p2, p3, p4;
+  init 1;
+  1 -> 2 on p1 > p2;
+  1 -> 3 on p3 > p4;
+  2 -> 4 on p3 > p4;
+}
+"""
+
+
+def _pair_program(rng: random.Random) -> str:
+    """2-6 processes, 2-5 Sync or Buffer1 connectors, each bound to a random
+    sender and receiver, 15% of them with the ports reversed, and 2-7
+    interactions through them, so connectors and processes are reused.  With
+    four processes or more, one connector in five is a Fork serving two
+    disjoint pairs instead, so that a later prefix on the head's connector
+    can merge with the head."""
+    procs = [f"p{i}" for i in range(rng.randint(2, 6))]
+    bindings, pairs = [], []
+    for i in range(rng.randint(2, 5)):
+        if len(procs) >= 4 and rng.random() < 0.2:
+            s, r, s2, r2 = rng.sample(procs, 4)
+            bindings.append(f"  c{i}: Fork[{s}/p1, {r}/p2, {s2}/p3, {r2}/p4];\n")
+            pairs += [(f"c{i}", s, r), (f"c{i}", s2, r2)]
+            continue
+        s, r = rng.sample(procs, 2)
+        kind = rng.choice(["Sync", "Buffer1"])
+        p1, p2 = (r, s) if rng.random() < 0.15 else (s, r)
+        bindings.append(f"  c{i}: {kind}[{p1}/p1, {p2}/p2];\n")
+        pairs.append((f"c{i}", s, r))
+    lines = []
+    for n in range(rng.randint(2, 7)):
+        c, s, r = rng.choice(pairs)
+        lines.append(f"  {s}.x -> {r}.y{n} thru {c};\n")
+    init = "".join(f"  {p}.x = {i};\n" for i, p in enumerate(procs))
+    return (
+        f"{RING_AUTOMATA}\n{FORK}\nconnectors {{\n{''.join(bindings)}}}\n\n"
+        f"init {{\n{init}}}\n\nmain {{\n{''.join(lines)}  0\n}}\n"
+    )
+
+
+def test_head_rule_waits_while_its_connector_is_used_below() -> None:
+    # c's pair merges with the head on g and may go first, to state 3, where
+    # a's pair is never served: firing only the head would say compatible
+    text = (
+        f"{FORK}\nconnectors {{\n  g: Fork[a/p1, b/p2, c/p3, d/p4];\n}}\n\n"
+        "init {\n  a.x = 1;\n  c.x = 2;\n}\n\n"
+        "main {\n  a.x -> b.y thru g;\n  c.x -> d.y thru g;\n  0\n}\n"
+    )
+    prog = textio.parse_program(text)
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert not verdict.compatible
+    assert verdict.judgement.astate_map()["g"][0] == "3"
+    assert exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=4).stuck
+
+
+def _report(verdict) -> "int | tuple":
+    if verdict.compatible:
+        return verdict.judgements_checked
+    j = verdict.judgement
+    return (verdict.reason, verdict.tried, j.path(), j.chor, j.astate)
+
+
+def test_head_rule_keeps_every_report_of_the_unreduced_check(monkeypatch) -> None:
+    # the head rule may only drop judgements: every No reports the same
+    # failing judgement, path, connector state and attempts, and a Yes takes
+    # no more judgements; and no program with a Yes can get stuck (a12)
+    reduced_yes = unreduced_yes = noes = 0
+    for seed in range(500):
+        prog = textio.parse_program(_pair_program(random.Random(seed)))
+        yes = False
+        for modular in (False, True):
+            reduced = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
+            with monkeypatch.context() as m:
+                _unreduced(m)
+                unreduced = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
+            assert reduced.compatible == unreduced.compatible, seed
+            if not reduced.compatible:
+                noes += 1
+                assert _report(reduced) == _report(unreduced), seed
+                continue
+            assert reduced.judgements_checked <= unreduced.judgements_checked, seed
+            reduced_yes += reduced.judgements_checked
+            unreduced_yes += unreduced.judgements_checked
+            yes = True
+        if yes:
+            ex = exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=16)
+            assert not ex.stuck and not ex.truncated, seed
+    # both kinds of verdict are met, and the rule does drop judgements
+    assert 0 < noes < 1000
+    assert reduced_yes < unreduced_yes
 
 
 # a's two data cross on the way: the first goes to c, the second to b

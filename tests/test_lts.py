@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from choreo.lts import Step, search
+from choreo import chor_engine as ce
+from choreo import cp_engine as cpe
+from choreo import textio
+from choreo.lts import Outcome, Step, run, search
+
+from conftest import fixture_text, load_program
 
 
 def _graph(edges: dict[int, list[int]]):
@@ -43,6 +48,22 @@ def test_search_rejects_a_negative_depth() -> None:
         with pytest.raises(ValueError):
             search(0, successors, -1, terminated)
     assert calls == []
+
+
+def test_run_rejects_a_negative_step_limit() -> None:
+    # a negative limit would take no step and report the limit as reached
+    successors, calls = _graph({0: [1]})
+    with pytest.raises(ValueError):
+        run(0, successors, lambda n: False, -1, None)
+    assert calls == []
+    prog = load_program("booksale.cr")
+    cfg = ce.initial_configuration(prog)
+    with pytest.raises(ValueError):
+        ce.run(cfg, prog.connectors, max_steps=-5)
+    assert ce.run(cfg, prog.connectors, max_steps=0).outcome is Outcome.MAX_STEPS
+    cp = textio.parse_cp(fixture_text("booksale.cp"))
+    with pytest.raises(ValueError):
+        cpe.cp_run(cp.init, cp.automata, max_steps=-5)
 
 
 def test_search_with_a_termination_test_classifies_the_last_level() -> None:
