@@ -168,6 +168,9 @@ class SortedPairs(Mapping):
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def items(self) -> tuple:
+        return self.pairs
+
 
 def write_sorted(pairs: tuple, writes: Mapping) -> tuple:
     """pairs with writes applied: a written key's pair is replaced, or

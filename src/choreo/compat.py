@@ -6,10 +6,11 @@ replaced by tokens, so verdicts hold for every initial store.  The n-th
 datum process `a` sends on a path is `FreshToken("a", n)`, printed `#a.n`:
 a process's count only grows along a path, so the tokens of one path are
 distinct, and every order of the same sends makes the same tokens.  Each
-procedure gets one shared unknown connector-state, fixed at its first call
-and required (up to a consistent renaming of tokens) at every later call.
-The worklist always replaces an item by strictly smaller items under the
-size metric `core.size`, which is asserted on every iteration; this is what
+procedure gets one shared unknown connector-state, fixed at its first call,
+which checks the body from it, and required (up to a consistent renaming of
+tokens) at every later call.  Apart from that one step into each body, the
+worklist always replaces an item by strictly smaller items under the size
+metric `core.size`, which is asserted on every iteration; this is what
 makes the check terminate, and is also why transitions that consume no
 interaction (pure cell-to-cell moves) are skipped here: the runtime permits
 them, but following them would not shrink anything.  Every node works its
@@ -215,7 +216,7 @@ def check_compatibility(
     the choreography, symbolically.  Yes is sound for deadlock-freedom when
     the automata are confluent; No does not imply a deadlock.
 
-    Procedure calls are not unfolded: each procedure is checked once against
+    Procedure calls are not unfolded: each procedure is checked once, from
     the connector state of its first call.  With `modular`, that state is
     restricted to the connectors the procedure can reach, so independent
     connectors cannot spoil the comparison.
@@ -232,7 +233,10 @@ def check_compatibility(
     # itself, procedure frame, connector state and choreography, and `sent`,
     # the path's send counts, names the tokens made below it.  A judgement
     # whose key was checked before is skipped.  This is exact.  Every
-    # successor is strictly smaller (asserted below), so no key recurs in its
+    # successor is strictly smaller (asserted below) but a procedure's body,
+    # pushed once, by the call that fixes its StateVar, with the frame that
+    # ends at it; below that, frames extend it, or end further out and are
+    # the frames of procedures that cannot reach it.  So no key recurs in its
     # own subtree, and the stack finishes a key's whole subtree, without
     # failure, before any duplicate of it is popped.  The duplicate's path
     # made every token of the key too, so a token made below is new on both
@@ -257,16 +261,19 @@ def check_compatibility(
         if isinstance(ch, End):
             continue
         if isinstance(ch, Call):
-            var = None
-            for name, v in reversed(gamma):
-                if name == ch.name:
-                    var = v
+            for i in range(len(gamma) - 1, -1, -1):
+                if gamma[i][0] == ch.name:
                     break
-            if var is None:
+            else:
                 raise InputError(f"call of undefined procedure {ch.name}")
+            var = gamma[i][1]
             current = _canon_astate(astate, var.relevant)
             if var.value is None:
+                # the body runs from the state its first call enters it with
                 var.value = current
+                key2 = (gamma[: i + 1], astate, normalize(var.body))
+                if key2 not in visited:
+                    worklist.append((key2, j, f"body of {ch.name}", sent))
             elif var.value != current:
                 return CompatNo(
                     j,
@@ -288,10 +295,7 @@ def check_compatibility(
             )
             var.body = ch.body
             gamma2 = gamma + ((ch.name, var),)
-            succs = [
-                (gamma2, astate, normalize(ch.cont), f"after def {ch.name}", sent),
-                (gamma2, astate, normalize(ch.body), f"body of {ch.name}", sent),
-            ]
+            succs = [(gamma2, astate, normalize(ch.cont), f"after def {ch.name}", sent)]
         else:
             assert isinstance(ch, Prefix)
             succs, tried = _prefix_successors(j, g, sent)

@@ -485,11 +485,12 @@ def project_network(c, sigma: Mapping[tuple[str, str], Value]):
     the global store."""
     from .cp_engine import Network
 
-    procs: dict[str, tuple[dict[str, Value], Behaviour]] = {}
-    for r in sorted(c.procs):
-        store = {x: v for (p, x), v in sigma.items() if p == r}
-        procs[r] = (store, project_behaviour(c, r))
-    return Network.make(procs)
+    stores: dict[str, dict[str, Value]] = {r: {} for r in sorted(c.procs)}
+    for (p, x), v in sigma.items():
+        store = stores.get(p)
+        if store is not None:
+            store[x] = v
+    return Network.make({r: (store, project_behaviour(c, r)) for r, store in stores.items()})
 
 
 def _port_directions(a: ConstraintAutomaton) -> dict[str, str]:

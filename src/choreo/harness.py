@@ -52,6 +52,7 @@ from .core import (
 )
 from .chor_engine import (
     Configuration,
+    SortedPairs,
     freeze_store,
     eval_expr,
     initial_configuration,
@@ -328,7 +329,7 @@ class CorrespondenceReport:
 
 
 def _project_cfg(cfg: Configuration) -> Network:
-    return normalize_network(project_network(normalize(cfg.chor), cfg.sigma_map()))
+    return normalize_network(project_network(normalize(cfg.chor), SortedPairs(cfg.sigma)))
 
 
 # how many steps one side may take to match a single step of the other
@@ -348,7 +349,12 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
     g = program.connectors
     pg = project_connectors(g)
     c0 = initial_configuration(program)
-    n0 = NetConfiguration.make(_project_cfg(c0), c0.astate_map())
+    # Many pairs, both directions of a pair and the completion searches ask
+    # about the same states, so each choreography state is projected once and
+    # each verdict is worked out once, for the whole search.
+    projected: dict[Configuration, Network] = {c0: _project_cfg(c0)}
+    verdicts: dict[tuple[Configuration, NetConfiguration], bool] = {}
+    n0 = NetConfiguration.make(projected[c0], c0.astate_map())
     gaps: list[str] = []
     pairs = 0
 
@@ -357,6 +363,18 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
 
     def net_steps(n: NetConfiguration) -> list[Step]:
         return cp_reductions(n, pg)
+
+    def above(c: Configuration, n: NetConfiguration) -> bool:
+        """Whether n lies above c's projection."""
+        if c.astate != n.astate:
+            return False
+        v = verdicts.get((c, n))
+        if v is None:
+            net = projected.get(c)
+            if net is None:
+                net = projected[c] = _project_cfg(c)
+            v = verdicts[(c, n)] = pruning_leq(net, n.net)
+        return v
 
     def matched(start, steps: list[Step], successors, accept):
         """The first one-step successor `accept` takes, else the first state
@@ -373,22 +391,6 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
         pairs += 1
         cc, nc = pair
         crs, nrs = chor_steps(cc), net_steps(nc)
-        projected = {cr.config: _project_cfg(cr.config) for cr in crs}
-
-        verdicts: dict[tuple[Configuration, NetConfiguration], bool] = {}
-
-        def above(c: Configuration, n: NetConfiguration) -> bool:
-            """Whether n lies above c's projection.  Both directions test the
-            same one-step pairs, so each pair's verdict is worked out once."""
-            if c.astate != n.astate:
-                return False
-            v = verdicts.get((c, n))
-            if v is None:
-                net = projected.get(c)
-                v = pruning_leq(_project_cfg(c) if net is None else net, n.net)
-                verdicts[(c, n)] = v
-            return v
-
         out: list[Step] = []
         for cr in crs:
             n = matched(nc, nrs, net_steps, lambda n: above(cr.config, n))
@@ -397,7 +399,7 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
                     f"completeness: no network match for choreography step {_describe_step(cr)}"
                 )
             else:
-                out.append(replace(cr, config=(cr.config, n)))
+                out.append(_leading_to(cr, (cr.config, n)))
         for nr in nrs:
             c = matched(cc, crs, chor_steps, lambda c: above(c, nr.config))
             if c is None:
@@ -405,11 +407,16 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
                     f"soundness: no choreography match for network step {_describe_step(nr)}"
                 )
             else:
-                out.append(replace(nr, config=(c, nr.config)))
+                out.append(_leading_to(nr, (c, nr.config)))
         return out
 
     truncated = search((c0, n0), pair_steps, bound).truncated
     return CorrespondenceReport(gaps, pairs, truncated)
+
+
+def _leading_to(r: Step, config) -> Step:
+    """r's step, leading to config."""
+    return Step(r.kind, r.subject, r.phi, r.branch, r.pre_state, r.post_state, config)
 
 
 def _describe_step(r: Step) -> str:

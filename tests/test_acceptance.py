@@ -13,16 +13,21 @@ from choreo import chor_engine as ce
 from choreo import compat, cp_engine, epp, textio
 from choreo.core import (
     BOT,
+    Call,
     Constraint,
+    Def,
     Flow,
     Label,
     Mem,
     Port,
+    Prefix,
     RecvSel,
     RecvVal,
     Sel,
     ValCom,
     Var,
+    desugar_multicast,
+    instantiate,
     validate_interaction_set,
 )
 from choreo.harness import (
@@ -30,6 +35,8 @@ from choreo.harness import (
     correspondence_check,
     exhaustive_explore,
     gen_random_program,
+    list_fixtures,
+    load_automaton,
     oracle_by_label,
     oracle_eta_reductions,
 )
@@ -302,23 +309,67 @@ def test_a11_matcher_agrees_with_the_reduction_oracle() -> None:
     print(f"[A11] matcher equals oracle on {states} enumerated states")
 
 
+def _prefix_before_call_programs():
+    """`def X = {B; X} in {P; X}` through one connector g, for every `.ca`
+    template and for `once.cr`'s Once.  P and B are each one interaction, in
+    every combination, or one or two at seeded choices; an interaction goes
+    from a port that sends to one or two ports that receive."""
+    templates = [load_automaton(name) for name in list_fixtures(".ca")]
+    templates.append(load_program("once.cr").automata["Once"])
+    rng = random.Random(12)
+    for t in templates:
+        owners = {port: f"q{i}" for i, port in enumerate(t.ports)}
+        flows = [f for tr in t.transitions for f in tr.phi.flows]
+        senders = sorted({f.src.name for f in flows if isinstance(f.src, Port)})
+        receivers = sorted({f.dst.name for f in flows if isinstance(f.dst, Port)})
+        shapes = [
+            (s, rs)
+            for s in senders
+            for n in (1, 2)
+            for rs in itertools.combinations([r for r in receivers if r != s], n)
+        ]
+
+        def chain(shapes, cont):
+            for s, rs in reversed(shapes):
+                etas = desugar_multicast(owners[s], Var("x"), [(owners[r], "y") for r in rs])
+                cont = Prefix(etas, "g", cont)
+            return cont
+
+        combos = [((p,), (b,)) for p in shapes for b in shapes]
+        combos += [
+            tuple(tuple(rng.choice(shapes) for _ in range(rng.randint(1, 2))) for _ in "PB")
+            for _ in range(10)
+        ]
+        for pre, body in combos:
+            main = Def("X", chain(body, Call("X")), chain(pre, Call("X")))
+            yield textio.Program(
+                {t.name: t},
+                {"g": (t.name, owners)},
+                {"g": instantiate(t, owners, name="g")},
+                {(q, "x"): 1 for q in owners.values()},
+                {},
+                ce.normalize(main),
+            )
+
+
 def test_a12_yes_plus_confluent_means_never_stuck() -> None:
+    # over the fixtures, and over loops whose continuation fires before the
+    # first call: a body checked from the def's state, not the first call's,
+    # said Yes on Once and on some Alternator and Relay2 loops that get stuck
+    programs = [load_program(path.name) for path in sorted(FIXTURES.glob("*.cr"))]
+    programs += _prefix_before_call_programs()
     checked = 0
-    for path in sorted(FIXTURES.glob("*.cr")):
-        prog = load_program(path.name)
-        if not compat.check_compatibility(prog.main, prog.connectors).compatible:
+    for prog in programs:
+        if not all(compat.check_confluence(a).confluent for a in prog.connectors.values()):
             continue
-        if not all(
-            compat.check_confluence(a).confluent for a in prog.connectors.values()
-        ):
-            continue
-        ex = exhaustive_explore(
-            ce.initial_configuration(prog), prog.connectors, bound=30
-        )
-        assert not ex.stuck, path.name
-        checked += 1
-    assert checked >= 5
-    print(f"[A12] {checked} compatible+confluent fixtures never get stuck")
+        for modular in (False, True):
+            if not compat.check_compatibility(prog.main, prog.connectors, modular=modular).compatible:
+                continue
+            ex = exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=30)
+            assert not ex.stuck, textio.pretty_chor(prog.main)
+            checked += 1
+    assert checked >= 70
+    print(f"[A12] {checked} compatible+confluent checks never get stuck")
 
 
 def test_a13_limits_documented_and_metric_assert_executes() -> None:

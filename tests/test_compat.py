@@ -29,6 +29,7 @@ VERDICTS = [
     ("booksale_resp3.cr", False, "ac2bs", "3"),
     ("loop_barrier.cr", False, None, None),
     ("loop_oneway.cr", False, None, None),
+    ("once.cr", False, "g", "3"),
     ("reorder.cr", True, None, None),
     ("referee_multicast.cr", True, None, None),
     ("referee_sequence.cr", True, None, None),

@@ -371,7 +371,7 @@ def test_cached_port_classification_is_exact(monkeypatch) -> None:
                         seen.add(r.config)
                         nxt.append(r.config)
             frontier = nxt
-    assert stuck == 1  # booksale_resp1
+    assert stuck == 2  # booksale_resp1 and once
 
 
 EMPTY_BUFFER = """

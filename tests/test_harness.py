@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
+
+import pytest
 
 from choreo import chor_engine as ce
 from choreo import epp, harness, textio
 from choreo.cp_engine import pruning_leq
+from choreo.epp import project_network
 from choreo.core import (
     BOT,
     Constraint,
@@ -33,7 +38,7 @@ from choreo.harness import (
     swapped_rendezvous,
 )
 
-from conftest import load_program, ring_chain
+from conftest import RING_AUTOMATA, load_program, parallel_pairs, ring_chain
 
 
 def _f(a, b) -> Flow:
@@ -167,6 +172,7 @@ CORRESPONDENCE = {
     "booksale_resp3.cr": ((3, 0, True), (9, 1, False)),
     "loop_barrier.cr": ((3, 0, True), (25, 0, True)),
     "loop_oneway.cr": ((3, 0, True), (25, 0, True)),
+    "once.cr": ((3, 0, False), (3, 0, False)),
     "referee_multicast.cr": ((2, 0, False), (2, 0, False)),
     "referee_sequence.cr": ((3, 0, False), (3, 0, False)),
     "reorder.cr": ((8, 0, True), (12, 0, False)),
@@ -181,6 +187,89 @@ def test_correspondence_counts_are_pinned_on_every_fixture() -> None:
             report = correspondence_check(prog, bound=bound)
             got = (report.pairs_checked, len(report.gaps), report.truncated)
             assert got == (pairs, gaps, truncated), (name, bound)
+
+
+# compatible, yet the network can put a's second datum into c2 while b's
+# receive from c1 is still pending, a state the choreography cannot reach
+TWO_BUFFERS = RING_AUTOMATA + """
+connectors {
+  c1: Buffer1[a/p1, b/p2];
+  c2: Buffer1[a/p1, b/p2];
+}
+
+init { a.x = 1; }
+
+main {
+  a.x -> b.y thru c1;
+  a.x -> b.z thru c2;
+  0
+}
+"""
+
+
+def counter_loop(rounds: int) -> str:
+    """A counter passed from a to b through a Buffer1 and back through a
+    Sync, `rounds` times, with a Buffer1 selection deciding each round."""
+    return RING_AUTOMATA + """
+connectors {
+  fwd: Buffer1[a/p1, b/p2];
+  back: Sync[b/p1, a/p2];
+  sel: Buffer1[a/p1, b/p2];
+}
+
+init { a.n = 0; b.n = 0; }
+
+main {
+  def X = {
+    a.n + 1 -> b.n thru fwd;
+    b.n -> a.n thru back;
+    if a.n < %d then { a -> b [more] thru sel; X }
+    else { a -> b [stop] thru sel; 0 }
+  } in {
+    X
+  }
+}
+""" % rounds
+
+
+CORRESPOND_PINS = json.loads((Path(__file__).parent / "correspond_pins.json").read_text())
+
+
+def _pinned_program(name: str) -> textio.Program:
+    if name == "TWO_BUFFERS":
+        return textio.parse_program(TWO_BUFFERS)
+    if name.startswith("counter_loop("):
+        return textio.parse_program(counter_loop(int(name[len("counter_loop(") : -1])))
+    return load_program(name)
+
+
+def test_correspondence_reports_are_pinned() -> None:
+    # whole reports, gap text and order included, recorded when every pair
+    # still projected its own successors and worked out its own verdicts:
+    # every fixture at bounds 3 and 25, TWO_BUFFERS (1 gap) and the counter
+    # loop of 3 and 10 rounds (2 and 9 gaps)
+    keys = [key.rsplit(" ", 1) for key in CORRESPOND_PINS]
+    assert sorted(name for name, bound in keys if bound == "3") == harness.list_fixtures(".cr")
+    for name, bound in keys:
+        report = correspondence_check(_pinned_program(name), bound=int(bound))
+        got = {"gaps": report.gaps, "pairs_checked": report.pairs_checked, "truncated": report.truncated}
+        assert got == CORRESPOND_PINS[f"{name} {bound}"], (name, bound)
+
+
+@pytest.mark.parametrize("k,kind,pairs", [(3, "Buffer1", 27), (4, "Sync", 16)])
+def test_correspondence_projects_each_choreography_state_once(monkeypatch, k, kind, pairs) -> None:
+    # each state used to be projected once for every edge into it, and the
+    # pairs reached over k independent pairs have up to k edges in
+    calls = []
+
+    def counted(c, sigma):
+        calls.append(None)
+        return project_network(c, sigma)
+
+    monkeypatch.setattr(harness, "project_network", counted)
+    report = correspondence_check(textio.parse_program(parallel_pairs(k, kind)), bound=100)
+    assert (report.gaps, report.pairs_checked, report.truncated) == ([], pairs, False)
+    assert len(calls) == pairs
 
 
 def test_pruning_leq_verdicts_are_shared_between_directions(monkeypatch) -> None:
