@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -198,27 +197,30 @@ def fire(astate: tuple, k: int, dst: str, mu_writes: Mapping[str, Value]) -> tup
 class Configuration:
     """One runtime state: choreography, global store, automaton states.
 
-    The hash is the tuple hash of the three fields, worked out once."""
+    The hash is the tuple hash of the three fields, worked out on first use
+    and kept: a run without a seed never hashes its configurations."""
 
     chor: object
     sigma: tuple
     astate: tuple
-    _hash: int = field(init=False, repr=False)
+    _hash: "int | None" = field(init=False, repr=False)
 
     def __init__(self, chor, sigma: tuple, astate: tuple) -> None:
         _set(self, "chor", chor)
         _set(self, "sigma", sigma)
         _set(self, "astate", astate)
-        _set(self, "_hash", hash((chor, sigma, astate)))
+        _set(self, "_hash", None)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            _set(self, "_hash", hash((self.chor, self.sigma, self.astate)))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Configuration:
             return NotImplemented
         return self is other or (
-            self._hash == other._hash
+            hash(self) == hash(other)
             and self.chor == other.chor
             and self.sigma == other.sigma
             and self.astate == other.astate
@@ -491,14 +493,11 @@ def match_transition(
 
     Untouched interactions stay in the residual set; touched full interactions
     either complete (port-to-port) or turn into runtime receive terms
-    (port-to-cell).  Returns (etas', sigma', mu') or None, where sigma' and
-    mu' are ChainMaps of the step's writes (`.maps[0]`) over sigma and mu.
+    (port-to-cell).  Returns (etas', sigma writes, mu writes) or None: the
+    step's writes alone, as dicts.
     """
     m = match_constraint(etas, phi, mu, sigma=sigma)
-    if isinstance(m, str):
-        return None
-    out_etas, sigma_writes, mu_writes = m
-    return (out_etas, ChainMap(sigma_writes, sigma), ChainMap(mu_writes, mu))
+    return None if isinstance(m, str) else m
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +690,7 @@ def iter_reductions(cfg: Configuration, g: ConnectorMapping) -> Iterator[Step]:
     sigma, astate = cfg.sigma, cfg.astate
     store = SortedPairs(sigma)
     conds: list[Exposure] = []
-    seen: set = set()
+    seen = lts.Seen()
     for ex in exposures(chor, {}, frozenset(), True):
         if ex.kind != "com":
             conds.append(ex)
@@ -705,27 +704,21 @@ def iter_reductions(cfg: Configuration, g: ConnectorMapping) -> Iterator[Step]:
             m = match_transition(ex.what, t.phi, store, mu)
             if m is None:
                 continue
-            residual, sigma2, mu2 = m
+            residual, sigma_writes, mu_writes = m
             succ = Configuration(
                 normalize(ex.rebuild(residual)),
-                write_sorted(sigma, sigma2.maps[0]),
-                fire(astate, k, t.dst, mu2.maps[0]),
+                write_sorted(sigma, sigma_writes),
+                fire(astate, k, t.dst, mu_writes),
             )
-            key = ("com", ex.subject, t.phi, succ)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield Step("com", ex.subject, t.phi, None, state, t.dst, succ)
+            if seen.add(("com", ex.subject, t.phi, succ)):
+                yield Step("com", ex.subject, t.phi, None, state, t.dst, succ)
     for ex in conds:
         v = eval_expr(ex.what, store, ex.subject)
         if not isinstance(v, Bool):
             raise EvalError(f"guard at {ex.subject} is not a boolean: {v!r}")
         succ = Configuration(normalize(ex.rebuild(v)), sigma, astate)
-        key = ("cond", ex.subject, ex.what, v, succ)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield Step("cond", ex.subject, None, "then" if v else "else", None, None, succ)
+        if seen.add(("cond", ex.subject, ex.what, v, succ)):
+            yield Step("cond", ex.subject, None, "then" if v else "else", None, None, succ)
 
 
 def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:

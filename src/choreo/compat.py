@@ -25,7 +25,6 @@ rendered as text only for a negative verdict's report and path.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -66,9 +65,9 @@ def abstract_match(
 ):
     """Value-free variant of the transition matcher: the datum a process
     sends in this step becomes a token numbered one past its count in `sent`,
-    the data it has sent so far on this path.  Returns (etas', mu', sent') or
-    None, where mu' is a ChainMap of the step's writes (`.maps[0]`) over mu
-    and sent' is `sent` itself when the step sends nothing."""
+    the data it has sent so far on this path.  Returns (etas', mu writes,
+    sent') or None, where the writes are the step's alone, as a dict, and
+    sent' is `sent` itself when the step sends nothing."""
     senders: list[str] = []
 
     def fresh(sender: str) -> FreshToken:
@@ -81,7 +80,7 @@ def abstract_match(
     out, _sigma_writes, mu_writes = m
     if senders:
         sent = {**sent, **{p: sent.get(p, 0) + 1 for p in senders}}
-    return (out, ChainMap(mu_writes, mu), sent)
+    return (out, mu_writes, sent)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +345,8 @@ def _prefix_successors(j: Judgement, g: ConnectorMapping, sent: Mapping[str, int
                 tried.append(attempt)
                 if m is None:
                     continue
-                residual, mu2, sent2 = m
-                astate2 = fire(astate, k, t.dst, mu2.maps[0])
+                residual, mu_writes, sent2 = m
+                astate2 = fire(astate, k, t.dst, mu_writes)
                 succs.append((j.gamma, astate2, normalize(ex.rebuild(residual)), attempt, sent2))
         if succs or not head_only:
             return succs, tried

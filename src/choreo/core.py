@@ -637,6 +637,9 @@ class ConstraintAutomaton:
     transitions: tuple[Transition, ...]
     init_state: str
     init_mem: tuple[tuple[str, Value], ...]
+    # each state's outgoing transitions, worked out on first use; not part of
+    # the value
+    _outgoing: object = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(
@@ -658,8 +661,15 @@ class ConstraintAutomaton:
     def init_mem_map(self) -> dict[str, Value]:
         return dict(self.init_mem)
 
-    def outgoing(self, state: str) -> list[Transition]:
-        return [t for t in self.transitions if t.src == state]
+    def outgoing(self, state: str) -> tuple[Transition, ...]:
+        """The transitions from state, in declaration order."""
+        index = self._outgoing
+        if index is None:
+            index = {}
+            for t in self.transitions:
+                index[t.src] = index.get(t.src, ()) + (t,)
+            object.__setattr__(self, "_outgoing", index)
+        return index.get(state, ())
 
 
 def validate_automaton(a: ConstraintAutomaton) -> list[str]:

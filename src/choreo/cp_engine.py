@@ -69,14 +69,20 @@ def _store_eval(e, store: Mapping[str, Value]) -> Value:
 # Networks
 
 
-_set = object.__setattr__  # for the frozen NetConfiguration
+_set = object.__setattr__  # for the frozen Network and NetConfiguration
 
 
 @dataclass(frozen=True, slots=True)
 class Network:
-    """Finite map from process names to (store, behaviour), canonically ordered."""
+    """Finite map from process names to (store, behaviour), canonically ordered.
+
+    `normal` records that no process has finished and every behaviour is
+    normal (`normalize_network`).  A step sets it on what it builds from a
+    normal network, and `normalize_network` on a network it has checked; it
+    is not part of the value."""
 
     procs: tuple
+    normal: bool = field(default=False, repr=False, compare=False)
 
     @staticmethod
     def make(mapping: Mapping[str, tuple[Mapping[str, Value], Behaviour]]) -> "Network":
@@ -176,15 +182,18 @@ def normalize_behaviour(b: Behaviour) -> Behaviour:
 def normalize_network(net: Network) -> Network:
     """Drop finished processes and collapse definitions over finished bodies.
     A network whose behaviours are all normal and unfinished comes back as it
-    is."""
+    is: at once if it is marked normal, else after one scan that marks it."""
+    if net.normal:
+        return net
     if all(b.normal and b is not BEND for _, _, b in net.procs):
+        _set(net, "normal", True)
         return net
     out = []
     for q, store, b in net.procs:
         nb = normalize_behaviour(b)
         if nb is not BEND:
             out.append((q, store, nb))
-    return Network(tuple(out))
+    return Network(tuple(out), True)
 
 
 @dataclass
@@ -295,11 +304,16 @@ def _owner_focus(procs: tuple, q: str) -> "tuple[int, Focus] | None":
     return None if focus is None else (i, focus)
 
 
-def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
+def cp_match_transition(
+    net: Network, phi: Constraint, mu: Mapping[str, Value], drop_finished: bool = False
+):
     """Fire phi against the network.  Returns (net', mu writes) or a failure
     stage string ('ports' for shape, 'value' for a datum premise).  Only the
     processes that own a port of phi are read, and the new network is built
-    only when phi fires."""
+    only when phi fires.  Each process phi moves is normalized.  One that
+    finishes is dropped with `drop_finished`, as a step does, and otherwise
+    kept, so that its last store can be read.  net' is marked normal when net
+    is and no finished process is kept."""
     plan = _port_plan(phi)
     if plan is FAIL_PORTS:
         return FAIL_PORTS
@@ -364,23 +378,35 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
             out_value[p] = Label(action.label)
     mu_writes: dict[str, Value] = {dst: mu[src] for src, dst in plan.moves}
     new = list(procs)
+    finished: list[int] = []
     for p, _port, cells in plan.senders:
         for m in cells:
             mu_writes[m] = out_value[p]
         i, focus = heads[p]
-        new[i] = (p, procs[i][1], focus.rebuild(focus.action.cont))  # type: ignore[union-attr]
+        b = normalize_behaviour(focus.rebuild(focus.action.cont))  # type: ignore[union-attr]
+        new[i] = (p, procs[i][1], b)
+        if b is BEND:
+            finished.append(i)
     for q, _port, sender, cell in plan.receivers:
         delivered = out_value[sender] if sender is not None else mu[cell]
         i, focus = heads[q]
         action = focus.action
+        store = procs[i][1]
         if isinstance(action, Recv):
-            store = write_sorted(procs[i][1], {action.var: delivered})
-            new[i] = (q, store, focus.rebuild(action.cont))
+            store = write_sorted(store, {action.var: delivered})
+            b = focus.rebuild(action.cont)
         else:
             assert isinstance(action, Branch) and isinstance(delivered, Label)
-            chosen = action.case_map()[delivered.name]
-            new[i] = (q, procs[i][1], focus.rebuild(chosen))
-    return (Network(tuple(new)), mu_writes)
+            b = focus.rebuild(action.case_map()[delivered.name])
+        b = normalize_behaviour(b)
+        new[i] = (q, store, b)
+        if b is BEND:
+            finished.append(i)
+    if drop_finished:
+        for i in sorted(finished, reverse=True):
+            del new[i]
+        finished.clear()
+    return (Network(tuple(new), net.normal and not finished), mu_writes)
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +419,23 @@ def cp_iter_reductions(
     """Every reduction of cfg, built as it is asked for: communications
     connector by connector, then conditionals process by process, each in
     name order.  A successor shares everything the step leaves alone with
-    cfg."""
-    astate, procs = cfg.astate, cfg.net.procs
-    seen: set = set()
+    cfg, and its network is normal: the step normalizes only the processes
+    it moves."""
+    net, astate = normalize_network(cfg.net), cfg.astate
+    procs = net.procs
+    seen = lts.Seen()
     for k, (g, (state, cells)) in enumerate(astate):
         if g not in automata:
             raise InputError(f"no automaton for connector {g}")
         mu = SortedPairs(cells)
         for t in automata[g].outgoing(state):
-            m = cp_match_transition(cfg.net, t.phi, mu)
+            m = cp_match_transition(net, t.phi, mu, drop_finished=True)
             if isinstance(m, str):
                 continue
             net2, mu_writes = m
-            succ = NetConfiguration(normalize_network(net2), fire(astate, k, t.dst, mu_writes))
-            key = ("com", g, t.phi, succ)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield Step("com", g, t.phi, None, state, t.dst, succ)
+            succ = NetConfiguration(net2, fire(astate, k, t.dst, mu_writes))
+            if seen.add(("com", g, t.phi, succ)):
+                yield Step("com", g, t.phi, None, state, t.dst, succ)
     for i, (q, store, b) in enumerate(procs):
         focus = head_focus(b)
         if focus is None or not isinstance(focus.action, BCond):
@@ -419,13 +444,11 @@ def cp_iter_reductions(
         if not isinstance(v, Bool):
             raise EvalError(f"guard at {q} is not a boolean: {v!r}")
         chosen = focus.action.then_branch if v else focus.action.else_branch
-        new = procs[:i] + ((q, store, focus.rebuild(chosen)),) + procs[i + 1 :]
-        succ = NetConfiguration(normalize_network(Network(new)), astate)
-        key = ("cond", q, focus.action.guard, v, succ)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield Step("cond", q, None, "then" if v else "else", None, None, succ)
+        nb = normalize_behaviour(focus.rebuild(chosen))
+        rewritten = () if nb is BEND else ((q, store, nb),)
+        succ = NetConfiguration(Network(procs[:i] + rewritten + procs[i + 1 :], True), astate)
+        if seen.add(("cond", q, focus.action.guard, v, succ)):
+            yield Step("cond", q, None, "then" if v else "else", None, None, succ)
 
 
 def cp_reductions(cfg: NetConfiguration, automata: ConnectorMapping) -> list[Step]:

@@ -15,15 +15,18 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 # the stage at which an attempted transition failed
 FAIL_PORTS = "ports"  # shape: ports and interaction or action kinds
 FAIL_VALUE = "value"  # a stored datum failed a premise
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
+    """One reduction.  A named tuple: every engine builds one per successor,
+    and a tuple is built in one call where a frozen dataclass sets each field
+    in turn."""
+
     kind: str  # "com" | "cond"
     subject: str  # connector for com, deciding process for cond
     phi: "object | None"  # the fired constraint, for com
@@ -47,6 +50,32 @@ def _flow_strings(phi) -> tuple:
 
 
 Successors = Callable[[object], Iterable[Step]]
+
+
+class Seen:
+    """The keys a successor function has yielded, for its dedup.  The first
+    key is held without hashing it, and the set is made when a second comes:
+    a run without a seed takes the first successor alone, so it hashes no
+    configuration."""
+
+    __slots__ = ("first", "keys")
+
+    def __init__(self) -> None:
+        self.first = None
+        self.keys: "set | None" = None
+
+    def add(self, key) -> bool:
+        """Record key; False if it was recorded before."""
+        if self.first is None:
+            self.first = key
+            return True
+        keys = self.keys
+        if keys is None:
+            keys = self.keys = {self.first}
+        if key in keys:
+            return False
+        keys.add(key)
+        return True
 
 
 class Outcome(Enum):

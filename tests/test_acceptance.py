@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 from choreo import chor_engine as ce
@@ -296,11 +297,11 @@ def test_a11_matcher_agrees_with_the_reduction_oracle() -> None:
                     if want:
                         disagreements += 1
                 else:
-                    out_etas, s2, m2 = m
+                    out_etas, sigma_writes, mu_writes = m
                     key = (
                         out_etas,
-                        tuple(sorted(s2.items())),
-                        tuple(sorted(m2.items(), key=lambda kv: kv[0])),
+                        tuple(sorted({**sigma, **sigma_writes}.items())),
+                        tuple(sorted({**mu, **mu_writes}.items(), key=lambda kv: kv[0])),
                     )
                     if want is None or key not in want:
                         disagreements += 1
@@ -309,11 +310,35 @@ def test_a11_matcher_agrees_with_the_reduction_oracle() -> None:
     print(f"[A11] matcher equals oracle on {states} enumerated states")
 
 
+def _transition_shapes(t) -> list[tuple]:
+    """The interaction set each transition of t serves, as one prefix's
+    (sender, receivers) pairs: a port-to-cell flow's receivers are the ports
+    that read that cell.  Transitions that take no send give none."""
+    readers: dict[str, set[str]] = {}
+    for tr in t.transitions:
+        for f in tr.phi.flows:
+            if isinstance(f.src, Mem) and isinstance(f.dst, Port):
+                readers.setdefault(f.src.name, set()).add(f.dst.name)
+    shapes = []
+    for tr in t.transitions:
+        sends: dict[str, set[str]] = {}
+        for f in tr.phi.flows:
+            if isinstance(f.src, Port):
+                rs = {f.dst.name} if isinstance(f.dst, Port) else readers.get(f.dst.name, set())
+                sends.setdefault(f.src.name, set()).update(rs)
+        shape = tuple((s, tuple(sorted(rs))) for s, rs in sorted(sends.items()) if rs)
+        if shape and shape not in shapes:
+            shapes.append(shape)
+    return shapes
+
+
 def _prefix_before_call_programs():
     """`def X = {B; X} in {P; X}` through one connector g, for every `.ca`
     template and for `once.cr`'s Once.  P and B are each one interaction, in
     every combination, or one or two at seeded choices; an interaction goes
-    from a port that sends to one or two ports that receive."""
+    from a port that sends to one or two ports that receive.  Then P and B
+    are each one or two of the interaction sets the template's transitions
+    serve (`_transition_shapes`), in every combination."""
     templates = [load_automaton(name) for name in list_fixtures(".ca")]
     templates.append(load_program("once.cr").automata["Once"])
     rng = random.Random(12)
@@ -323,15 +348,19 @@ def _prefix_before_call_programs():
         senders = sorted({f.src.name for f in flows if isinstance(f.src, Port)})
         receivers = sorted({f.dst.name for f in flows if isinstance(f.dst, Port)})
         shapes = [
-            (s, rs)
+            ((s, rs),)
             for s in senders
             for n in (1, 2)
             for rs in itertools.combinations([r for r in receivers if r != s], n)
         ]
 
         def chain(shapes, cont):
-            for s, rs in reversed(shapes):
-                etas = desugar_multicast(owners[s], Var("x"), [(owners[r], "y") for r in rs])
+            # one prefix per shape, carrying each of its multicasts
+            for shape in reversed(shapes):
+                etas = frozenset().union(
+                    *(desugar_multicast(owners[s], Var("x"), [(owners[r], "y") for r in rs])
+                      for s, rs in shape)
+                )
                 cont = Prefix(etas, "g", cont)
             return cont
 
@@ -340,6 +369,9 @@ def _prefix_before_call_programs():
             tuple(tuple(rng.choice(shapes) for _ in range(rng.randint(1, 2))) for _ in "PB")
             for _ in range(10)
         ]
+        joint = _transition_shapes(t)
+        runs = [(x,) for x in joint] + list(itertools.product(joint, repeat=2))
+        combos += list(itertools.product(runs, repeat=2))
         for pre, body in combos:
             main = Def("X", chain(body, Call("X")), chain(pre, Call("X")))
             yield textio.Program(
@@ -359,6 +391,7 @@ def test_a12_yes_plus_confluent_means_never_stuck() -> None:
     programs = [load_program(path.name) for path in sorted(FIXTURES.glob("*.cr"))]
     programs += _prefix_before_call_programs()
     checked = 0
+    yes_by_template: Counter = Counter()
     for prog in programs:
         if not all(compat.check_confluence(a).confluent for a in prog.connectors.values()):
             continue
@@ -368,7 +401,13 @@ def test_a12_yes_plus_confluent_means_never_stuck() -> None:
             ex = exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=30)
             assert not ex.stuck, textio.pretty_chor(prog.main)
             checked += 1
-    assert checked >= 70
+            yes_by_template.update(list(prog.automata))
+    assert checked >= 200
+    # the transition-made loops reach Yes where one multicast per prefix
+    # cannot: a round of two sets in turn (Alternator, Chain4), two senders
+    # at once (Rendezvous), one sender to three receivers (Spread3)
+    for name in ("Alternator", "Chain4", "Rendezvous", "Spread3"):
+        assert yes_by_template[name] >= 1, name
     print(f"[A12] {checked} compatible+confluent checks never get stuck")
 
 

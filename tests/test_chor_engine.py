@@ -46,12 +46,13 @@ def test_eval_expr_reads_the_owner_slice() -> None:
 def test_match_port_to_port_completes() -> None:
     etas = frozenset({ValCom("a", Var("x"), "c", "t")})
     sigma = {("a", "x"): "foo"}
-    m = ce.match_transition(etas, _phi((Port("a"), Port("c"))), sigma, {})
+    mu = {}
+    m = ce.match_transition(etas, _phi((Port("a"), Port("c"))), sigma, mu)
     assert m is not None
     out, sigma2, mu2 = m
     assert out == frozenset()
     assert sigma2[("c", "t")] == "foo"
-    assert mu2 == {}
+    assert {**mu, **mu2} == {}
 
 
 def test_match_deposit_leaves_runtime_receive() -> None:
@@ -124,12 +125,13 @@ def test_match_deposit_and_deliver_same_step_through_other_cell() -> None:
     etas = frozenset({ValCom("q", Var("x"), "p", "w")})
     sigma = {("q", "x"): "dq"}
     phi = _phi((Port("q"), Mem("c1")), (Mem("c2"), Port("p")))
-    m = ce.match_transition(etas, phi, sigma, {"c1": BOT, "c2": "dq"})
+    mu = {"c1": BOT, "c2": "dq"}
+    m = ce.match_transition(etas, phi, sigma, mu)
     assert m is not None
     out, sigma2, mu2 = m
     assert out == frozenset()
     assert sigma2[("p", "w")] == "dq"
-    assert mu2 == {"c1": "dq", "c2": "dq"}
+    assert {**mu, **mu2} == {"c1": "dq", "c2": "dq"}
     # never through the deposit's own cell
     own = _phi((Port("q"), Mem("c1")), (Mem("c1"), Port("p")))
     assert ce.match_transition(etas, own, sigma, {"c1": "dq", "c2": BOT}) is None
@@ -148,8 +150,9 @@ def test_match_rejects_memory_cycles() -> None:
     phi = _phi((Mem("c1"), Mem("c2")), (Mem("c2"), Mem("c1")))
     assert ce.match_transition(frozenset(), phi, {}, {"c1": "a", "c2": "b"}) is None
     chain = _phi((Mem("c1"), Mem("c2")), (Mem("c2"), Mem("c3")))
-    m = ce.match_transition(frozenset(), chain, {}, {"c1": "a", "c2": "b", "c3": BOT})
-    assert m[2] == {"c1": "a", "c2": "a", "c3": "b"}
+    mu = {"c1": "a", "c2": "b", "c3": BOT}
+    m = ce.match_transition(frozenset(), chain, {}, mu)
+    assert {**mu, **m[2]} == {"c1": "a", "c2": "a", "c3": "b"}
 
 
 def test_head_exposures_cross_independent_prefixes() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -259,6 +260,117 @@ def test_a_run_builds_only_the_successor_it_takes(monkeypatch, k: int) -> None:
         assert built[0] == len(res.trace) == k
 
 
+def _fixture_networks():
+    """Each fixture's network: the projection of every projectable `.cr`
+    program, then every `.cp` file."""
+    for name in harness.list_fixtures(".cr"):
+        try:
+            yield _project(load_program(name))
+        except epp.Unprojectable:
+            pass
+    for name in harness.list_fixtures(".cp"):
+        yield textio.parse_cp(fixture_text(name))
+
+
+def test_a_run_without_a_seed_hashes_no_configuration(monkeypatch) -> None:
+    # a run takes each state's first step, and the dedup of a state's steps
+    # hashes a key only once a second one comes
+    hashed = [0]
+    for cls in (ce.Configuration, cpe.NetConfiguration, cpe.Network):
+        def counted_hash(self, _hash=cls.__hash__):
+            hashed[0] += 1
+            return _hash(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted_hash)
+    pairs = [
+        textio.parse_program(parallel_pairs(k, kind))
+        for k, kind in ((8, "Sync"), (8, "Buffer1"), (64, "Sync"))
+    ]
+    programs = [load_program(name) for name in harness.list_fixtures(".cr")] + pairs
+    runs = [(ce.run, ce.initial_configuration(prog), prog.connectors) for prog in programs]
+    networks = itertools.chain(_fixture_networks(), map(_project, pairs))
+    runs += [(cpe.cp_run, cp.init, cp.automata) for cp in networks]
+    for run, start, automata in runs:
+        hashed[0] = 0
+        res = run(start, automata, max_steps=70)
+        assert hashed[0] == 0
+        assert all(step.config._hash is None for step in res.trace)  # nor at construction
+    assert res.outcome is cpe.Outcome.TERMINATED and len(res.trace) == 64
+    # the count works: a seeded run lists every step, and dedup hashes them
+    run(start, automata, max_steps=70, rng=random.Random(0))
+    assert hashed[0] > 0
+
+
+def test_a_network_step_normalizes_only_the_processes_it_moves(monkeypatch) -> None:
+    # each Sync step ends two processes, and no other process is looked at
+    per_step = []
+    for k in (8, 32, 64):
+        cp = _project(textio.parse_program(parallel_pairs(k, "Sync")))
+        calls = [0]
+
+        def counted(b, _normalize=cpe.normalize_behaviour):
+            calls[0] += 1
+            return _normalize(b)
+
+        with monkeypatch.context() as m:
+            m.setattr(cpe, "normalize_behaviour", counted)
+            res = cpe.cp_run(cp.init, cp.automata)
+        assert res.outcome is cpe.Outcome.TERMINATED and len(res.trace) == k
+        per_step.append(calls[0] / k)
+    assert per_step[0] == per_step[1] == per_step[2]
+
+
+# each process ends inside the scope of a def: by a send, a send into a
+# cell, a receive from a cell, a branch or a conditional
+SCOPE_ENDS = RING_AUTOMATA + """
+connectors { g: Sync[a/p1, b/p2]; h: Buffer1[a/p1, b/p2]; }
+init { a.x = %d; }
+main {
+  def X = { a.x -> b.y thru g; X } in {
+    a.x -> b.y thru g;
+    if a.x = 1 then { a -> b [ok] thru g; a.x -> b.z thru h; 0 }
+    else { a -> b [ko] thru g; if a.x = 2 then { 0 } else { 0 } }
+  }
+}
+"""
+
+
+def test_network_successors_are_normal_by_construction(monkeypatch) -> None:
+    # every successor equals the full normalisation of the step's result
+    # with no behaviour normalized, in the same order, and normalize_network
+    # hands it back as it is
+    def unnormalized_steps(cfg, automata):
+        with monkeypatch.context() as m:
+            m.setattr(cpe, "normalize_behaviour", lambda b: b)
+            return cpe.cp_reductions(cfg, automata)
+
+    checked = 0
+    scope_ends = [_project(textio.parse_program(SCOPE_ENDS % x)) for x in (1, 3)]
+    for cp in itertools.chain(scope_ends, _networks()):
+        start = cp.init
+        seen, frontier = {start}, [start]
+        while frontier and len(seen) < 300:
+            nxt = []
+            for cfg in frontier:
+                steps = cpe.cp_reductions(cfg, cp.automata)
+                want: list[tuple] = []
+                for r in unnormalized_steps(cfg, cp.automata):
+                    # a fresh network, so the full normalisation runs
+                    net = cpe.normalize_network(cpe.Network(r.config.net.procs))
+                    key = r[:-1] + (net, r.config.astate)
+                    if key not in want:
+                        want.append(key)
+                assert [r[:-1] + (r.config.net, r.config.astate) for r in steps] == want
+                for r in steps:
+                    assert cpe.normalize_network(r.config.net) is r.config.net
+                    checked += 1
+                    if r.config not in seen:
+                        seen.add(r.config)
+                        nxt.append(r.config)
+            frontier = nxt
+    assert checked > 400
+
+
 BAD_GUARD = RING_AUTOMATA + """
 connectors { g: Sync[a/p1, b/p2]; }
 init { a.x = 1; c.v = 5; }
@@ -334,13 +446,7 @@ def test_network_step_cost_does_not_grow_with_chain_length(monkeypatch) -> None:
 
 
 def _networks():
-    for name in harness.list_fixtures(".cr"):
-        try:
-            yield _project(harness.load_program(name))
-        except epp.Unprojectable:
-            pass
-    for name in harness.list_fixtures(".cp"):
-        yield textio.parse_cp(fixture_text(name))
+    yield from _fixture_networks()
     for seed in range(100):
         yield _project(harness.gen_random_program(random.Random(seed)))
 
