@@ -77,12 +77,12 @@ class Network:
     """Finite map from process names to (store, behaviour), canonically ordered.
 
     `normal` records that no process has finished and every behaviour is
-    normal (`normalize_network`).  A step sets it on what it builds from a
-    normal network, and `normalize_network` on a network it has checked; it
-    is not part of the value."""
+    normal (`normalize_network`).  It is not part of the value, and only this
+    module sets it: a step on what it builds from a normal network, and
+    `normalize_network` on a network it has checked."""
 
     procs: tuple
-    normal: bool = field(default=False, repr=False, compare=False)
+    normal: bool = field(default=False, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(mapping: Mapping[str, tuple[Mapping[str, Value], Behaviour]]) -> "Network":
@@ -103,8 +103,8 @@ class NetConfiguration:
     """A network plus the current state and memory of every connector.
 
     The hash is the tuple hash of the two fields, worked out on first use
-    and kept: a run hashes every successor, but a projection builds one
-    configuration that may never be hashed."""
+    and kept.  A run without a seed and a projection never hash their
+    configurations."""
 
     net: Network
     astate: tuple
@@ -193,7 +193,9 @@ def normalize_network(net: Network) -> Network:
         nb = normalize_behaviour(b)
         if nb is not BEND:
             out.append((q, store, nb))
-    return Network(tuple(out), True)
+    net = Network(tuple(out))
+    _set(net, "normal", True)
+    return net
 
 
 @dataclass
@@ -304,16 +306,12 @@ def _owner_focus(procs: tuple, q: str) -> "tuple[int, Focus] | None":
     return None if focus is None else (i, focus)
 
 
-def cp_match_transition(
-    net: Network, phi: Constraint, mu: Mapping[str, Value], drop_finished: bool = False
-):
+def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
     """Fire phi against the network.  Returns (net', mu writes) or a failure
     stage string ('ports' for shape, 'value' for a datum premise).  Only the
     processes that own a port of phi are read, and the new network is built
-    only when phi fires.  Each process phi moves is normalized.  One that
-    finishes is dropped with `drop_finished`, as a step does, and otherwise
-    kept, so that its last store can be read.  net' is marked normal when net
-    is and no finished process is kept."""
+    only when phi fires.  Each process phi moves is normalized, and dropped
+    if it finishes, so net' is marked normal when net is."""
     plan = _port_plan(phi)
     if plan is FAIL_PORTS:
         return FAIL_PORTS
@@ -402,11 +400,12 @@ def cp_match_transition(
         new[i] = (q, store, b)
         if b is BEND:
             finished.append(i)
-    if drop_finished:
-        for i in sorted(finished, reverse=True):
-            del new[i]
-        finished.clear()
-    return (Network(tuple(new), net.normal and not finished), mu_writes)
+    for i in sorted(finished, reverse=True):
+        del new[i]
+    net2 = Network(tuple(new))
+    if net.normal:
+        _set(net2, "normal", True)
+    return (net2, mu_writes)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,7 @@ def cp_iter_reductions(
             raise InputError(f"no automaton for connector {g}")
         mu = SortedPairs(cells)
         for t in automata[g].outgoing(state):
-            m = cp_match_transition(net, t.phi, mu, drop_finished=True)
+            m = cp_match_transition(net, t.phi, mu)
             if isinstance(m, str):
                 continue
             net2, mu_writes = m
@@ -446,7 +445,9 @@ def cp_iter_reductions(
         chosen = focus.action.then_branch if v else focus.action.else_branch
         nb = normalize_behaviour(focus.rebuild(chosen))
         rewritten = () if nb is BEND else ((q, store, nb),)
-        succ = NetConfiguration(Network(procs[:i] + rewritten + procs[i + 1 :], True), astate)
+        net2 = Network(procs[:i] + rewritten + procs[i + 1 :])
+        _set(net2, "normal", True)
+        succ = NetConfiguration(net2, astate)
         if seen.add(("cond", q, focus.action.guard, v, succ)):
             yield Step("cond", q, None, "then" if v else "else", None, None, succ)
 

@@ -399,7 +399,7 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
                     f"completeness: no network match for choreography step {_describe_step(cr)}"
                 )
             else:
-                out.append(_leading_to(cr, (cr.config, n)))
+                out.append(cr._replace(config=(cr.config, n)))
         for nr in nrs:
             c = matched(cc, crs, chor_steps, lambda c: above(c, nr.config))
             if c is None:
@@ -407,16 +407,11 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
                     f"soundness: no choreography match for network step {_describe_step(nr)}"
                 )
             else:
-                out.append(_leading_to(nr, (c, nr.config)))
+                out.append(nr._replace(config=(c, nr.config)))
         return out
 
     truncated = search((c0, n0), pair_steps, bound).truncated
     return CorrespondenceReport(gaps, pairs, truncated)
-
-
-def _leading_to(r: Step, config) -> Step:
-    """r's step, leading to config."""
-    return Step(r.kind, r.subject, r.phi, r.branch, r.pre_state, r.post_state, config)
 
 
 def _describe_step(r: Step) -> str:

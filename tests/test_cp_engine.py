@@ -28,6 +28,12 @@ I = PortName("i", "b", "g")
 I2 = PortName("i", "c", "g")
 
 
+def _then_send(q: str, var: str):
+    # a continuation for receiver q, so that q is still in the network
+    # after the step and its store can be read
+    return Send(PortName("o", q, "h"), Var(var), BEnd())
+
+
 def test_normalize_behaviour_drops_finished_defs() -> None:
     b = BDef("X", Send(O, Var("x"), BEnd()), BEnd())
     assert cpe.normalize_behaviour(b) == BEnd()
@@ -42,7 +48,7 @@ def test_head_focus_unfolds_defs_once() -> None:
 def test_direct_send_recv_over_port_flow() -> None:
     net = _net(
         a=({"x": 7}, Send(O, Var("x"), BEnd())),
-        b=({}, Recv(I, "y", BEnd())),
+        b=({}, Recv(I, "y", _then_send("b", "y"))),
     )
     m = cpe.cp_match_transition(net, _phi((Port("o_a_g"), Port("i_b_g"))), {})
     assert not isinstance(m, str)
@@ -54,8 +60,8 @@ def test_direct_send_recv_over_port_flow() -> None:
 def test_send_fans_out_to_all_flows_of_its_port() -> None:
     net = _net(
         a=({"x": 7}, Send(O, Var("x"), BEnd())),
-        b=({}, Recv(I, "y", BEnd())),
-        c=({}, Recv(I2, "z", BEnd())),
+        b=({}, Recv(I, "y", _then_send("b", "y"))),
+        c=({}, Recv(I2, "z", _then_send("c", "z"))),
     )
     phi = _phi(
         (Port("o_a_g"), Port("i_b_g")),
@@ -86,7 +92,7 @@ def test_selection_drives_branches() -> None:
 
 
 def test_cell_delivery_accepts_any_stored_datum() -> None:
-    net = _net(b=({}, Recv(I, "y", BEnd())))
+    net = _net(b=({}, Recv(I, "y", _then_send("b", "y"))))
     phi = _phi((Mem("m"), Port("i_b_g")))
     m = cpe.cp_match_transition(net, phi, {"m": "anything"})
     assert not isinstance(m, str)
