@@ -173,9 +173,7 @@ def _confluence_report(connectors) -> dict:
 def cmd_check(args) -> int:
     prog = textio.parse_program(_read(args.path))
     confluence = _confluence_report(prog.connectors)
-    verdict = compat.check_compatibility(
-        prog.main, prog.connectors, modular=args.modular
-    )
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
     if args.json:
         payload: dict = {"compatible": verdict.compatible, "confluence": confluence}
         if verdict.compatible:
@@ -332,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="check choreography/connector compatibility")
     pc.add_argument("path")
-    pc.add_argument("--modular", action="store_true", help="compare procedure states per relevant connector only")
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_check)
 

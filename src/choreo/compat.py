@@ -7,10 +7,11 @@ datum process `a` sends on a path is `FreshToken("a", n)`, printed `#a.n`:
 a process's count only grows along a path, so the tokens of one path are
 distinct, and every order of the same sends makes the same tokens.  Each
 procedure gets one shared unknown connector-state, fixed at its first call,
-which checks the body from it, and required (up to a consistent renaming of
-tokens) at every later call.  Apart from that one step into each body, the
-worklist always replaces an item by strictly smaller items under the size
-metric `core.size`, which is asserted on every iteration; this is what
+which checks the body from it, and required at every later call, at the
+connectors the procedure can reach and up to a consistent renaming of
+tokens.  Apart from that one step into each body, the worklist always
+replaces an item by strictly smaller items under the size metric
+`core.size`, which is asserted on every iteration; this is what
 makes the check terminate, and is also why transitions that consume no
 interaction (pure cell-to-cell moves) are skipped here: the runtime permits
 them, but following them would not shrink anything.  Every node works its
@@ -88,13 +89,13 @@ def abstract_match(
 
 
 class StateVar:
-    """The connector-state a procedure is entered with: unknown until the
-    first call instantiates it."""
+    """The connector-state a procedure is entered with, at the connectors it
+    can reach (`relevant`): unknown until the first call instantiates it."""
 
-    def __init__(self, relevant: "frozenset[str] | None" = None) -> None:
+    def __init__(self, body) -> None:
         self.value: "tuple | None" = None
-        self.relevant = relevant
-        self.body = None
+        self.relevant: frozenset[str] = frozenset()
+        self.body = body
 
 
 @dataclass(eq=False)
@@ -183,7 +184,7 @@ def _relevant_connectors(body, gamma: tuple) -> frozenset[str]:
 # Token-renaming-insensitive comparison of connector states
 
 
-def _canon_astate(astate: tuple, relevant: "frozenset[str] | None") -> tuple:
+def _canon_astate(astate: tuple, relevant: frozenset[str]) -> tuple:
     renaming: dict[FreshToken, int] = {}
 
     def repl(v: Value):
@@ -195,9 +196,8 @@ def _canon_astate(astate: tuple, relevant: "frozenset[str] | None") -> tuple:
 
     out = []
     for g, (s, cells) in astate:
-        if relevant is not None and g not in relevant:
-            continue
-        out.append((g, (s, tuple((m, repl(v)) for m, v in cells))))
+        if g in relevant:
+            out.append((g, (s, tuple((m, repl(v)) for m, v in cells))))
     return tuple(out)
 
 
@@ -209,16 +209,16 @@ def check_compatibility(
     c,
     g: ConnectorMapping,
     a0: "Mapping[str, tuple[str, Mapping[str, Value]]] | None" = None,
-    modular: bool = False,
 ) -> Verdict:
     """Decide whether the connectors can always serve every head rewriting of
     the choreography, symbolically.  Yes is sound for deadlock-freedom when
     the automata are confluent; No does not imply a deadlock.
 
     Procedure calls are not unfolded: each procedure is checked once, from
-    the connector state of its first call.  With `modular`, that state is
-    restricted to the connectors the procedure can reach, so independent
-    connectors cannot spoil the comparison.
+    the connector state of its first call, and every later call must enter
+    it with the same state at the connectors the procedure can reach.  The
+    body fires only those, so connectors it cannot reach cannot spoil the
+    comparison.
     """
     c = normalize(c)
     _check_defs_called(c)
@@ -287,13 +287,9 @@ def check_compatibility(
                 (gamma, astate, normalize(ch.else_branch), f"{ch.process}: else branch", sent),
             ]
         elif isinstance(ch, Def):
-            var = StateVar(
-                _relevant_connectors(ch.body, gamma + ((ch.name, StateVar()),))
-                if modular
-                else None
-            )
-            var.body = ch.body
+            var = StateVar(ch.body)
             gamma2 = gamma + ((ch.name, var),)
+            var.relevant = _relevant_connectors(ch.body, gamma2)
             succs = [(gamma2, astate, normalize(ch.cont), f"after def {ch.name}", sent)]
         else:
             assert isinstance(ch, Prefix)

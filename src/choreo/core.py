@@ -7,8 +7,8 @@ downstream (parser, engines, projection) relies on.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 
@@ -337,9 +337,60 @@ class End:
 END = End()
 
 
-# Prefix, Cond and Def compute their hash and four syntactic facts once, at
-# construction, from their children's, so reading any of them costs O(1)
-# however long the term is:
+_set = object.__setattr__  # the nodes are frozen
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+class Interned:
+    """Base of the hash-consed term nodes (Filliâtre and Conchon, "Type-safe
+    modular hash-consing", 2006): building a node looks its fields up in its
+    class's weak table and returns the live node that holds them, if there is
+    one.  So equal terms are one object, and equality is identity.  In the
+    lookup a child compares by identity, as it is interned itself (or an
+    End or Call, which compare by value), and a literal by plain `==`, which
+    is type-strict (see Bool).  The table holds a node weakly, so a node is
+    freed once no term holds it.
+
+    A subclass sets its fields, and what it knows about itself, in `_build`,
+    which runs once per distinct live node.  The hash is the tuple hash of
+    the fields, as a dataclass would compute it, so it is the same whether a
+    node is built or found, and set orders do not depend on sharing."""
+
+    __slots__ = ("__weakref__", "_hash")
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        table: dict[tuple, _Ref] = {}
+
+        def forget(ref: _Ref) -> None:
+            # a node built since under the same key has its own entry
+            if table.get(ref.key) is ref:
+                del table[ref.key]
+
+        cls._table, cls._forget = table, staticmethod(forget)
+
+    def __new__(cls, *fields):
+        ref = cls._table.get(fields)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "_hash", hash(fields))
+            node._build(*fields)
+            ref = _Ref(node, cls._forget)
+            ref.key = fields
+            cls._table[fields] = ref
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+# Prefix, Cond and Def compute four syntactic facts once, when they are
+# built, from their children's, so reading any of them costs O(1) however
+# long the term is:
 #   `procs`  the processes the term names, conditional guards included;
 #   `calls`  its free procedure calls (a def removes its own name);
 #   `conns`  the connectors its interactions go through;
@@ -347,19 +398,15 @@ END = End()
 #            interaction, 1 for each runtime receive term, and 1 for each
 #            End, Call, Cond and Def.
 # A set that a child's already holds is shared, not copied, so on a chain or a
-# loop most nodes allocate none, and equal prefixes share theirs (see
-# `_prefix_facts`).  The hash is the tuple hash of the node's fields, as a
-# dataclass would compute it.  `normal` records whether the node
-# is in normal form: no empty interaction set and no def whose scope has
-# ended.  A node built from normal children knows this at once, which lets
-# `chor_engine.normalize` return such a term as it is.  The constructors are
-# written out because they run once per node of every term an engine builds.
+# loop most nodes allocate none, and an equal term is the same node with the
+# same sets.  `normal` records whether the node is in normal form: no empty
+# interaction set and no def whose scope has ended.  A node built from normal
+# children knows this at once, which lets `chor_engine.normalize` return such
+# a term as it is.
 #
 # `_proj` is the map from a process to its projected behaviour, which
 # `epp.project_behaviour` makes and fills.  It starts as None rather than {}:
 # most nodes an engine builds are never projected.
-
-_set = object.__setattr__  # the nodes are frozen
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -369,71 +416,36 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return b if a <= b else a | b
 
 
-@lru_cache(maxsize=512)
-def _prefix_facts(
-    etas: frozenset[Interaction], connector: str, procs: frozenset[str], conns: frozenset[str]
-) -> tuple[frozenset[str], frozenset[str], int]:
-    """The procs, conns and size of etas thru connector, for a continuation
-    with the given procs and conns, less the continuation's size.
-
-    Cached, so that equal prefixes share their sets: a search rebuilds equal
-    prefixes on every path to a state, and where each prefix adds processes
-    (k independent pairs) fresh sets would cost O(k) time and memory each."""
-    own = pn_etas(etas)
-    if not own <= procs:
-        procs = procs | own
-    if connector not in conns:
-        conns = conns | {connector}
-    return procs, conns, sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in etas)
-
-
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Prefix:
+class Prefix(Interned):
     """etas thru connector; cont"""
 
     etas: frozenset[Interaction]
     connector: str
     cont: "Choreography"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
     procs: frozenset[str] = field(repr=False)
     calls: frozenset[str] = field(repr=False)
     conns: frozenset[str] = field(repr=False)
     size: int = field(repr=False)
     _proj: "dict | None" = field(repr=False)
 
-    def __init__(self, etas: frozenset[Interaction], connector: str, cont: "Choreography") -> None:
+    def _build(self, etas: frozenset[Interaction], connector: str, cont: "Choreography") -> None:
         _set(self, "etas", etas)
         _set(self, "connector", connector)
         _set(self, "cont", cont)
         _set(self, "normal", bool(etas) and cont.normal)
-        _set(self, "_hash", hash((etas, connector, cont)))
-        procs, conns, size = _prefix_facts(etas, connector, cont.procs, cont.conns)
-        _set(self, "procs", procs)
+        _set(self, "procs", _union(cont.procs, pn_etas(etas)))
         _set(self, "calls", cont.calls)
-        _set(self, "conns", conns)
-        _set(self, "size", cont.size + size)
+        conns = cont.conns
+        _set(self, "conns", conns if connector in conns else conns | {connector})
+        own_size = sum(1 if isinstance(e, (RecvVal, RecvSel)) else 2 for e in etas)
+        _set(self, "size", cont.size + own_size)
         _set(self, "_proj", None)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Prefix:
-            return NotImplemented
-        a, b = self, other
-        # a loop along the spine: a long chain must not exhaust the stack
-        while a.__class__ is Prefix and b.__class__ is Prefix:
-            if a is b:
-                return True
-            if a._hash != b._hash or a.connector != b.connector or a.etas != b.etas:
-                return False
-            a, b = a.cont, b.cont
-        return a == b
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Cond:
+class Cond(Interned):
     """if process.guard then then_branch else else_branch"""
 
     process: str
@@ -441,14 +453,13 @@ class Cond:
     then_branch: "Choreography"
     else_branch: "Choreography"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
     procs: frozenset[str] = field(repr=False)
     calls: frozenset[str] = field(repr=False)
     conns: frozenset[str] = field(repr=False)
     size: int = field(repr=False)
     _proj: "dict | None" = field(repr=False)
 
-    def __init__(
+    def _build(
         self, process: str, guard: Expr, then_branch: "Choreography", else_branch: "Choreography"
     ) -> None:
         _set(self, "process", process)
@@ -456,7 +467,6 @@ class Cond:
         _set(self, "then_branch", then_branch)
         _set(self, "else_branch", else_branch)
         _set(self, "normal", then_branch.normal and else_branch.normal)
-        _set(self, "_hash", hash((process, guard, then_branch, else_branch)))
         procs = _union(then_branch.procs, else_branch.procs)
         _set(self, "procs", procs if process in procs else procs | {process})
         _set(self, "calls", _union(then_branch.calls, else_branch.calls))
@@ -464,61 +474,32 @@ class Cond:
         _set(self, "size", 1 + then_branch.size + else_branch.size)
         _set(self, "_proj", None)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Cond:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash
-            and self.process == other.process
-            and self.guard == other.guard
-            and self.then_branch == other.then_branch
-            and self.else_branch == other.else_branch
-        )
-
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Def:
+class Def(Interned):
     """def name = body in cont"""
 
     name: str
     body: "Choreography"
     cont: "Choreography"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
     procs: frozenset[str] = field(repr=False)
     calls: frozenset[str] = field(repr=False)
     conns: frozenset[str] = field(repr=False)
     size: int = field(repr=False)
     _proj: "dict | None" = field(repr=False)
 
-    def __init__(self, name: str, body: "Choreography", cont: "Choreography") -> None:
+    def _build(self, name: str, body: "Choreography", cont: "Choreography") -> None:
         _set(self, "name", name)
         _set(self, "body", body)
         _set(self, "cont", cont)
         _set(self, "normal", body.normal and cont.normal and cont is not END)
-        _set(self, "_hash", hash((name, body, cont)))
         _set(self, "procs", _union(body.procs, cont.procs))
         calls = _union(body.calls, cont.calls)
         _set(self, "calls", calls - {name} if name in calls else calls)
         _set(self, "conns", _union(body.conns, cont.conns))
         _set(self, "size", 1 + body.size + cont.size)
         _set(self, "_proj", None)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Def:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash
-            and self.name == other.name
-            and self.body == other.body
-            and self.cont == other.cont
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,6 +10,7 @@ from .core import (
     ConstraintAutomaton,
     Expr,
     InputError,
+    Interned,
     Port,
     ConnectorMapping,
     RecvSel,
@@ -66,15 +67,12 @@ class PortName:
 # ---------------------------------------------------------------------------
 # Behaviours
 #
-# Send, Recv, SelSend, Branch, BCond and BDef compute their hash once, at
-# construction, from their children's cached hashes (the tuple hash of their
-# fields, as a dataclass would compute it), so hashing a behaviour costs O(1)
-# however long it is.  `normal` records whether the node is in normal form:
-# no def whose scope has ended.  A node built from normal children knows this
-# at once, which lets `cp_engine.normalize_behaviour` return such a behaviour
-# as it is.  The constructors are written out, as for `core.Prefix`, because
-# they run once per node of every behaviour that projection and the network
-# engine build.
+# Send, Recv, SelSend, Branch, BCond and BDef are hash-consed, as the
+# choreography nodes are (see `core.Interned`): an equal behaviour is the same
+# object, and its hash is the tuple hash of its fields.  `normal` records
+# whether the node is in normal form: no def whose scope has ended.  A node
+# built from normal children knows this at once, which lets
+# `cp_engine.normalize_behaviour` return such a behaviour as it is.
 
 _set = object.__setattr__  # the nodes are frozen
 
@@ -102,81 +100,51 @@ BEND = BEnd()
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Send:
+class Send(Interned):
     port: PortName
     expr: Expr
     cont: "Behaviour"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
 
-    def __init__(self, port: PortName, expr: Expr, cont: "Behaviour") -> None:
+    def _build(self, port: PortName, expr: Expr, cont: "Behaviour") -> None:
         _set(self, "port", port)
         _set(self, "expr", expr)
         _set(self, "cont", cont)
         _set(self, "normal", cont.normal)
-        _set(self, "_hash", hash((port, expr, cont)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Send:
-            return NotImplemented
-        return _actions_eq(self, other)
 
     def with_cont(self, cont: "Behaviour") -> "Send":
         return Send(self.port, self.expr, cont)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Recv:
+class Recv(Interned):
     port: PortName
     var: str
     cont: "Behaviour"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
 
-    def __init__(self, port: PortName, var: str, cont: "Behaviour") -> None:
+    def _build(self, port: PortName, var: str, cont: "Behaviour") -> None:
         _set(self, "port", port)
         _set(self, "var", var)
         _set(self, "cont", cont)
         _set(self, "normal", cont.normal)
-        _set(self, "_hash", hash((port, var, cont)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Recv:
-            return NotImplemented
-        return _actions_eq(self, other)
 
     def with_cont(self, cont: "Behaviour") -> "Recv":
         return Recv(self.port, self.var, cont)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class SelSend:
+class SelSend(Interned):
     port: PortName
     label: str
     cont: "Behaviour"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
 
-    def __init__(self, port: PortName, label: str, cont: "Behaviour") -> None:
+    def _build(self, port: PortName, label: str, cont: "Behaviour") -> None:
         _set(self, "port", port)
         _set(self, "label", label)
         _set(self, "cont", cont)
         _set(self, "normal", cont.normal)
-        _set(self, "_hash", hash((port, label, cont)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SelSend:
-            return NotImplemented
-        return _actions_eq(self, other)
 
     def with_cont(self, cont: "Behaviour") -> "SelSend":
         return SelSend(self.port, self.label, cont)
@@ -197,41 +165,16 @@ def same_head(a, b) -> bool:
     return a.label == b.label
 
 
-def _actions_eq(a, b) -> bool:
-    # a loop along the action spine: a long behaviour must not exhaust the stack
-    while a.__class__ is b.__class__ and a.__class__ in _ACTIONS:
-        if a is b:
-            return True
-        if a._hash != b._hash or not same_head(a, b):
-            return False
-        a, b = a.cont, b.cont
-    return a == b
-
-
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Branch:
+class Branch(Interned):
     port: PortName
     cases: tuple[tuple[str, "Behaviour"], ...]
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
 
-    def __init__(self, port: PortName, cases: tuple[tuple[str, "Behaviour"], ...]) -> None:
+    def _build(self, port: PortName, cases: tuple[tuple[str, "Behaviour"], ...]) -> None:
         _set(self, "port", port)
         _set(self, "cases", cases)
         _set(self, "normal", all(b.normal for _, b in cases))
-        _set(self, "_hash", hash((port, cases)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Branch:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash
-            and self.port == other.port
-            and self.cases == other.cases
-        )
 
     @staticmethod
     def make(port: PortName, cases: Mapping[str, "Behaviour"]) -> "Branch":
@@ -242,61 +185,31 @@ class Branch:
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class BCond:
+class BCond(Interned):
     guard: Expr
     then_branch: "Behaviour"
     else_branch: "Behaviour"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
 
-    def __init__(self, guard: Expr, then_branch: "Behaviour", else_branch: "Behaviour") -> None:
+    def _build(self, guard: Expr, then_branch: "Behaviour", else_branch: "Behaviour") -> None:
         _set(self, "guard", guard)
         _set(self, "then_branch", then_branch)
         _set(self, "else_branch", else_branch)
         _set(self, "normal", then_branch.normal and else_branch.normal)
-        _set(self, "_hash", hash((guard, then_branch, else_branch)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not BCond:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash
-            and self.guard == other.guard
-            and self.then_branch == other.then_branch
-            and self.else_branch == other.else_branch
-        )
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class BDef:
+class BDef(Interned):
     name: str
     body: "Behaviour"
     cont: "Behaviour"
     normal: bool = field(repr=False)
-    _hash: int = field(repr=False)
 
-    def __init__(self, name: str, body: "Behaviour", cont: "Behaviour") -> None:
+    def _build(self, name: str, body: "Behaviour", cont: "Behaviour") -> None:
         _set(self, "name", name)
         _set(self, "body", body)
         _set(self, "cont", cont)
         _set(self, "normal", body.normal and cont.normal and cont is not BEND)
-        _set(self, "_hash", hash((name, body, cont)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not BDef:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash
-            and self.name == other.name
-            and self.body == other.body
-            and self.cont == other.cont
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -398,12 +311,13 @@ def project_behaviour(c, r: str) -> Behaviour:
     prefix spine is projected in a loop, bottom-up.
 
     The result is kept on each Prefix, Cond and Def node it is computed for,
-    in the node's `_proj` map, and nothing is kept when projection fails.  The
-    spine loop stops at the first node that already knows r's behaviour, so a
-    term built on a projected tail costs only the nodes above it, and its
-    projection ends in the very behaviour objects projected before.  The map
-    sits on the node rather than in a table keyed by equal terms, so it is
-    found without hashing a term and freed with the node."""
+    in the node's `_proj` map, and nothing is kept when projection fails.
+    Equal terms are one node (see `core.Interned`), so the map serves every
+    term equal to one projected before.  The spine loop stops at the first
+    node that already knows r's behaviour, so a term built on a projected
+    tail costs only the nodes above it, and its projection ends in the very
+    behaviour objects projected before.  The map is found without hashing a
+    term and freed with the node."""
     spine = []
     b = _known_projection(c, r)
     while b is None and isinstance(c, core.Prefix):

@@ -231,14 +231,12 @@ def test_correspond_long_chain_from_a_file(tmp_path: Path, capsys) -> None:
 CHECK_PINS = json.loads((Path(__file__).parent / "check_pins.json").read_text())
 
 
-@pytest.mark.parametrize("modular", [False, True])
-def test_check_output_is_pinned_on_every_fixture(capsys, modular) -> None:
+def test_check_output_is_pinned_on_every_fixture(capsys) -> None:
     # a yes pins its judgement count; a no pins everything it reports, with
     # values taken from the unmemoised checker, which the memo must keep
     assert sorted(CHECK_PINS) == sorted(p.name for p in FIXTURES.glob("*.cr"))
     for name, pinned in CHECK_PINS.items():
-        argv = ["check", _fx(name), "--json"] + (["--modular"] if modular else [])
-        code, out, _ = _run(capsys, *argv)
+        code, out, _ = _run(capsys, "check", _fx(name), "--json")
         assert json.loads(out) == pinned, name
         assert code == (0 if pinned["compatible"] else 1)
 

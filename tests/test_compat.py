@@ -19,7 +19,14 @@ from choreo.core import (
 )
 from choreo.harness import exhaustive_explore, load_automaton
 
-from conftest import RING_AUTOMATA, load_expect, load_program, parallel_pairs, ring_chain
+from conftest import (
+    RING_AUTOMATA,
+    fixture_text,
+    load_expect,
+    load_program,
+    parallel_pairs,
+    ring_chain,
+)
 
 VERDICTS = [
     ("booksale.cr", True, None, None),
@@ -131,14 +138,13 @@ main {
 """
 
 
-@pytest.mark.parametrize("modular", [False, True])
 @pytest.mark.parametrize("text", [COPY, PICK], ids=["copy", "pick"])
-def test_procedure_state_comparison_is_type_strict(text, modular) -> None:
+def test_procedure_state_comparison_is_type_strict(text) -> None:
     # COPY needs a type-strict re-entry comparison.  PICK also needs a
     # type-strict memo key: without one, the order that ends with n = 1 is
     # taken for the one that ends with n = true and skipped.
     prog = textio.parse_program(text)
-    verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
     assert not verdict.compatible
     assert "re-entered" in verdict.reason
     n = verdict.judgement.astate_map()["g"][1]["n"]
@@ -157,9 +163,8 @@ def test_independent_sync_interactions_take_k_plus_one_judgements(k) -> None:
     # no other prefix uses the head's connector, so only the head fires: the
     # judgements are the k + 1 suffixes of the chain of interactions
     prog = textio.parse_program(parallel_pairs(k, "Sync"))
-    for modular in (False, True):
-        verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
-        assert verdict.judgements_checked == k + 1
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert verdict.judgements_checked == k + 1
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -177,9 +182,8 @@ def test_buffer1_pair_judgement_counts_are_pinned(k) -> None:
     # only the head pair fires, while no other prefix uses its connector:
     # its send, then its receive, so each pair adds two judgements
     prog = textio.parse_program(parallel_pairs(k, "Buffer1"))
-    for modular in (False, True):
-        verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
-        assert verdict.judgements_checked == 2 * k + 1
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert verdict.judgements_checked == 2 * k + 1
 
 
 @pytest.mark.parametrize(
@@ -194,9 +198,8 @@ def test_pairs_that_reuse_their_connector_meet_in_the_memo(k, kind, states) -> N
     # delivered through Sync, and with Buffer1 also a first or second datum
     # in the cell
     prog = textio.parse_program(parallel_pairs(k, kind, rounds=2))
-    for modular in (False, True):
-        verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
-        assert verdict.judgements_checked == states**k
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert verdict.judgements_checked == states**k
 
 
 # Serves the pair on p1, p2 or the pair on p3, p4 first; the second pair
@@ -272,26 +275,22 @@ def test_head_rule_keeps_every_report_of_the_unreduced_check(monkeypatch) -> Non
     reduced_yes = unreduced_yes = noes = 0
     for seed in range(500):
         prog = textio.parse_program(_pair_program(random.Random(seed)))
-        yes = False
-        for modular in (False, True):
-            reduced = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
-            with monkeypatch.context() as m:
-                _unreduced(m)
-                unreduced = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
-            assert reduced.compatible == unreduced.compatible, seed
-            if not reduced.compatible:
-                noes += 1
-                assert _report(reduced) == _report(unreduced), seed
-                continue
-            assert reduced.judgements_checked <= unreduced.judgements_checked, seed
-            reduced_yes += reduced.judgements_checked
-            unreduced_yes += unreduced.judgements_checked
-            yes = True
-        if yes:
-            ex = exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=16)
-            assert not ex.stuck and not ex.truncated, seed
+        reduced = compat.check_compatibility(prog.main, prog.connectors)
+        with monkeypatch.context() as m:
+            _unreduced(m)
+            unreduced = compat.check_compatibility(prog.main, prog.connectors)
+        assert reduced.compatible == unreduced.compatible, seed
+        if not reduced.compatible:
+            noes += 1
+            assert _report(reduced) == _report(unreduced), seed
+            continue
+        assert reduced.judgements_checked <= unreduced.judgements_checked, seed
+        reduced_yes += reduced.judgements_checked
+        unreduced_yes += unreduced.judgements_checked
+        ex = exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=16)
+        assert not ex.stuck and not ex.truncated, seed
     # both kinds of verdict are met, and the rule does drop judgements
-    assert 0 < noes < 1000
+    assert 0 < noes < 500
     assert reduced_yes < unreduced_yes
 
 
@@ -326,13 +325,12 @@ def test_tokens_of_one_sender_stay_apart_along_a_path() -> None:
     # named by sender alone, a's two tokens would be equal, and the check
     # would wrongly say compatible (5 judgements)
     prog = textio.parse_program(CROSS)
-    for modular in (False, True):
-        verdict = compat.check_compatibility(prog.main, prog.connectors, modular=modular)
-        assert not verdict.compatible
-        assert verdict.judgement.astate_map()["g"] == (
-            "3",
-            {"m1": core.FreshToken("a", 1), "m2": core.FreshToken("a", 2)},
-        )
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert not verdict.compatible
+    assert verdict.judgement.astate_map()["g"] == (
+        "3",
+        {"m1": core.FreshToken("a", 1), "m2": core.FreshToken("a", 2)},
+    )
     res = ce.run(ce.initial_configuration(prog), prog.connectors, max_steps=10)
     assert res.outcome is ce.Outcome.STUCK
     assert ce.report_stuck(res.final, prog.connectors).classification == "value-mismatch"
@@ -372,8 +370,23 @@ def test_modular_restriction_ignores_unrelated_connectors() -> None:
         "g": instantiate(load_automaton("sync.ca"), {"p1": "p", "p2": "q"}, name="g"),
         "h": instantiate(load_automaton("buffer1.ca"), {"p1": "r", "p2": "s"}, name="h"),
     }
-    assert compat.check_compatibility(c, g, modular=True).compatible
-    assert compat.check_compatibility(c, g, modular=False).compatible
+    assert compat.check_compatibility(c, g).compatible
+    # the loop X only ever touches g, but the first call enters it with h
+    # empty and the call after the buffered exchange with h full: compared
+    # at every connector, that was a different state, and the check said No
+    prog = textio.parse_program(
+        fixture_text("sync.ca")
+        + fixture_text("buffer1.ca")
+        + """connectors { g: Sync[a/p1, b/p2]; h: Buffer1[c/p1, d/p2]; }
+init { a.x = 1; c.z = 1; }
+main {
+  def X = { a.x -> b.y thru g; X }
+  in { if c.z = 1 then { c.z -> d.w thru h; X } else { X } }
+}"""
+    )
+    assert compat.check_compatibility(prog.main, prog.connectors).compatible
+    ex = exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=40)
+    assert len(ex.nodes) == 8 and not ex.stuck and not ex.truncated
 
 
 def test_unused_procedure_is_an_input_error() -> None:
@@ -404,11 +417,11 @@ def test_termination_metric_assert_is_live(monkeypatch) -> None:
 def _size_visits_per_call(monkeypatch, n: int) -> list[int]:
     visits = [0]
     per_call: list[int] = []
-    prefix_facts, size = core._prefix_facts, compat.size
+    build, size = core.Prefix._build, compat.size
 
-    def counted_prefix_facts(*args):
+    def counted_build(*args):
         visits[0] += 1
-        return prefix_facts(*args)
+        return build(*args)
 
     def counted_size(c):
         before = visits[0]
@@ -417,7 +430,7 @@ def _size_visits_per_call(monkeypatch, n: int) -> list[int]:
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(core, "_prefix_facts", counted_prefix_facts)
+        m.setattr(core.Prefix, "_build", counted_build)
         prog = textio.parse_program(ring_chain(n)[0])
         assert visits[0] == n  # each prefix is measured once, when it is built
         core.size(prog.main)

@@ -44,7 +44,7 @@ from choreo.core import (
     validate_interaction_set,
 )
 from choreo.chor_engine import initial_configuration
-from choreo.epp import BEND, PortName, Send
+from choreo.epp import BEND, PortName, Send, project_behaviour
 from choreo.harness import (
     exhaustive_explore,
     gen_random_program,
@@ -82,9 +82,41 @@ def test_terms_built_on_one_and_true_differ() -> None:
     recv_true = frozenset({RecvVal("b", "x", TRUE)})
     assert recv1 != recv_true
     assert Prefix(recv1, "g", END) != Prefix(recv_true, "g", END)
+    assert Prefix(recv1, "g", END) is not Prefix(recv_true, "g", END)
     assert Cond("a", one, END, END) != Cond("a", true, END, END)
+    assert Cond("a", one, END, END) is not Cond("a", true, END, END)
     port = PortName("o", "a", "g")
     assert Send(port, one, BEND) != Send(port, true, BEND)
+    assert Send(port, one, BEND) is not Send(port, true, BEND)
+
+
+def test_equal_terms_are_one_object() -> None:
+    p1, p2 = load_program("booksale.cr"), load_program("booksale.cr")
+    assert p1.main is p2.main
+    # the two orders of two independent interactions are different terms,
+    # projected node by node, but each process's projection is one object
+    ab = frozenset({ValCom("a", Var("x"), "b", "y")})
+    cd = frozenset({ValCom("c", Var("z"), "d", "w")})
+    t1 = Prefix(ab, "g", Prefix(cd, "h", END))
+    t2 = Prefix(cd, "h", Prefix(ab, "g", END))
+    assert t1 is not t2
+    for r in "abcd":
+        assert project_behaviour(t1, r) is project_behaviour(t2, r)
+
+
+def test_dropping_a_long_term_empties_its_table() -> None:
+    # the tables hold the nodes weakly, and freeing a long term does not
+    # recurse once per node
+    etas = frozenset({ValCom("a", Var("x"), "b", "y")})
+    port = PortName("o", "a", "g")
+    n = 200_000
+    before = len(Prefix._table), len(Send._table)
+    c, b = END, BEND
+    for _ in range(n):
+        c, b = Prefix(etas, "g", c), Send(port, Var("x"), b)
+    assert (len(Prefix._table), len(Send._table)) == (before[0] + n, before[1] + n)
+    del c, b
+    assert (len(Prefix._table), len(Send._table)) == before
 
 
 def test_python_bools_are_not_values() -> None:

@@ -215,12 +215,14 @@ def _action_chain(n: int, last) -> "epp.Behaviour":
 
 
 def test_behaviour_leq_loops_along_long_spines() -> None:
-    # separately built, so equal but not identical at every node
-    b1 = _action_chain(2000, Send(O, Var("x"), BEnd()))
-    b2 = _action_chain(2000, Send(O, Var("x"), BEnd()))
+    # b2 offers one more branch label at its foot, so the two share no node
+    # and the walk runs the whole length of both spines
+    b1 = _action_chain(2000, Branch.make(I, {"go": BEnd()}))
+    b2 = _action_chain(2000, Branch.make(I, {"go": BEnd(), "stop": BEnd()}))
     other = _action_chain(2000, Send(O, Var("z"), BEnd()))
     assert b1 is not b2
     assert cpe.behaviour_leq(b1, b2)
+    assert not cpe.behaviour_leq(b2, b1)
     assert not cpe.behaviour_leq(b1, other)
     assert not cpe.behaviour_leq(other, b1)
 
@@ -430,11 +432,12 @@ def _nodes_per_step(monkeypatch, n: int) -> list[int]:
     prog = textio.parse_program(text)
     with monkeypatch.context() as m:
         for cls in _NODES:
-            def counted_init(self, *args, _init=cls.__init__):
+            # count every construction, also one that finds the node built
+            def counted_new(cls, *args, _new=cls.__new__):
                 built[0] += 1
-                _init(self, *args)
+                return _new(cls, *args)
 
-            m.setattr(cls, "__init__", counted_init)
+            m.setattr(cls, "__new__", counted_new)
         m.setattr(cpe, "cp_iter_reductions", counted_iter_reductions)
         cp = _project(prog)
         assert built[0] >= n  # the projection is counted, so the count works
