@@ -49,7 +49,6 @@ from .core import (
     Value,
     Var,
     check_value,
-    known_pn,
     pn_eta,
     pn_etas,
     sender_of,
@@ -288,7 +287,7 @@ def is_terminated(cfg: Configuration) -> bool:
 # Transition matching
 
 
-def _written_before(seed: str, mm: list[Flow]) -> set[str]:
+def _written_before(seed: str, mm: tuple[Flow, ...]) -> set[str]:
     """Cells that are necessarily written before a delivery whose deposit
     wrote `seed` can read.  A cell-to-cell move reading such a cell must run
     even earlier than the writer, so its own target joins the set."""
@@ -325,24 +324,114 @@ def mem_cycle(mm: list[Flow]) -> bool:
 
 @lru_cache(maxsize=8192)
 def _phi_parts(phi: Constraint):
-    """Split a constraint's flows by endpoint kinds, once per constraint."""
+    """Split a constraint's flows by endpoint kinds, once per constraint.
+    The cell-to-cell moves come self-copies first."""
     flows = phi.sorted_flows()
     pp = tuple(f for f in flows if isinstance(f.src, Port) and isinstance(f.dst, Port))
     pm = tuple(f for f in flows if isinstance(f.src, Port) and isinstance(f.dst, Mem))
     mp = tuple(f for f in flows if isinstance(f.src, Mem) and isinstance(f.dst, Port))
-    mm = tuple(f for f in flows if isinstance(f.src, Mem) and isinstance(f.dst, Mem))
-    mm_ordered = tuple(sorted(mm, key=lambda f: f.src != f.dst))
+    mm = [f for f in flows if isinstance(f.src, Mem) and isinstance(f.dst, Mem)]
+    mm.sort(key=lambda f: f.src != f.dst)
     groups: dict[str, list[Flow]] = {}
     for f in pm:
         groups.setdefault(f.src.name, []).append(f)
     pm_groups = tuple((p, tuple(groups[p])) for p in sorted(groups))
-    return pp, pm_groups, mp, mm, mm_ordered, mem_cycle(list(mm))
+    return pp, pm_groups, mp, tuple(mm), mem_cycle(mm)
+
+
+@dataclass(frozen=True, slots=True)
+class _MatchPlan:
+    """Which interaction each flow of a constraint serves in one interaction
+    set: all of a match that does not depend on the data."""
+
+    handovers: tuple  # value communications a port-to-port flow completes
+    senders: tuple  # each depositing sender's first value communication
+    moves: tuple  # (source cell, target cell), self-copies first
+    claims: tuple  # (cell, datum it must hold, (receiver, variable) it is stored in or None)
+    births: tuple  # (cell, sender, (receiver, variable)): same-step deliveries of a deposit
+    deposits: tuple  # (cell, sender, communication left pending or None), or (cell, None, label)
+    rest: frozenset  # the residual set, but for the receives of deposited values
 
 
 @lru_cache(maxsize=8192)
-def _etas_index(etas: frozenset):
-    """Receiver index and canonical ordering, once per interaction set."""
-    return {eta.receiver: eta for eta in etas}, tuple(sorted_etas(etas))
+def _match_plan(etas: frozenset[Interaction], phi: Constraint) -> "_MatchPlan | str":
+    """phi's flows assigned to the interactions of etas, once per set and
+    constraint, or FAIL_PORTS when some flow has no interaction in place.
+    Port-to-port flows take the interaction of their receiver; a sender's
+    deposits take its interactions in canonical order, cycling through its
+    flows; a delivery from a cell takes its receiver's pending receive, or
+    else that receiver's interaction deposited in this very step, from a
+    cell that no write of the step comes before (see `match_constraint`)."""
+    pp, pm_groups, mp, mm, cyclic = _phi_parts(phi)
+    if cyclic:
+        return FAIL_PORTS
+    by_receiver = {eta.receiver: eta for eta in etas}
+    consumed: set[Interaction] = set()
+    handovers = []
+    for f in pp:
+        eta = by_receiver.get(f.dst.name)
+        if (
+            eta is None
+            or eta in consumed
+            or not isinstance(eta, (ValCom, Sel))
+            or eta.sender != f.src.name
+        ):
+            return FAIL_PORTS
+        consumed.add(eta)
+        if isinstance(eta, ValCom):
+            handovers.append(eta)
+    pm_assign: list[tuple[str, Interaction]] = []  # (cell, eta)
+    ordered = sorted_etas(etas) if pm_groups else ()
+    for p, group in pm_groups:
+        avail = [eta for eta in ordered if sender_of(eta) == p and eta not in consumed]
+        if not avail or len(avail) < len(group):
+            return FAIL_PORTS
+        for i, eta in enumerate(avail):
+            consumed.add(eta)
+            pm_assign.append((group[i % len(group)].dst.name, eta))
+    claims, births = [], []
+    born: set[Interaction] = set()
+    for f in mp:
+        eta = by_receiver.get(f.dst.name)
+        if eta is None:
+            return FAIL_PORTS
+        if eta not in consumed and isinstance(eta, (RecvVal, RecvSel)):
+            consumed.add(eta)
+            if isinstance(eta, RecvVal):
+                claims.append((f.src.name, eta.value, (eta.receiver, eta.var)))
+            else:
+                claims.append((f.src.name, Label(eta.label), None))
+            continue
+        birth = next((cell for cell, be in pm_assign if be is eta), None)
+        if birth is None or eta in born:
+            return FAIL_PORTS
+        if f.src.name in _written_before(birth, mm):
+            return FAIL_PORTS
+        born.add(eta)
+        if isinstance(eta, ValCom):
+            births.append((f.src.name, eta.sender, (eta.receiver, eta.var)))
+        else:
+            claims.append((f.src.name, Label(eta.label), None))
+    senders: dict[str, ValCom] = {}
+    deposits = []
+    pending_labels = []
+    for cell, eta in pm_assign:
+        if isinstance(eta, ValCom):
+            senders.setdefault(eta.sender, eta)
+            deposits.append((cell, eta.sender, None if eta in born else eta))
+        else:
+            deposits.append((cell, None, Label(eta.label)))
+            if eta not in born:
+                pending_labels.append(RecvSel(eta.receiver, eta.label))
+    return _MatchPlan(
+        tuple(handovers),
+        tuple(senders.values()),
+        tuple((f.src.name, f.dst.name) for f in mm),
+        tuple(claims),
+        tuple(births),
+        tuple(deposits),
+        (etas - consumed).union(pending_labels),
+    )
 
 
 def match_constraint(
@@ -355,10 +444,13 @@ def match_constraint(
     """Shared matcher for the concrete and the symbolic semantics.
 
     Returns (residual etas, sigma writes, mu writes) on success or a failure
-    stage (FAIL_PORTS / FAIL_VALUE) otherwise.  All reads, both of the
-    store and of memory cells, see the pre-state: a constraint orders every
-    read of a cell before any write to it, so a constraint that would need to
-    read its own output does not fire.
+    stage (FAIL_PORTS / FAIL_VALUE) otherwise.  Which interaction each flow
+    serves, and so a FAIL_PORTS, depends only on etas and phi, and is worked
+    out once per set and constraint (`_match_plan`); a step checks the data
+    premises and builds its writes and residual by value.  All reads, both
+    of the store and of memory cells, see the pre-state: a constraint orders
+    every read of a cell before any write to it, so a constraint that would
+    need to read its own output does not fire.
 
     Two ordering subtleties.  First, a communication deposited into one cell
     by this very constraint can also be delivered by it, through a second
@@ -369,118 +461,50 @@ def match_constraint(
     before the other writers, because it reads the cell it writes; the cell
     ends up holding another writer's value.
     """
-    pp, pm_groups, mp, mm, mm_ordered, cyclic = _phi_parts(phi)
-    if cyclic:
+    plan = _match_plan(etas, phi)
+    if plan is FAIL_PORTS:
         return FAIL_PORTS
 
-    by_receiver, etas_sorted = _etas_index(etas)
-    consumed: set[Interaction] = set()
-    checks: list[tuple[Value, Value]] = []  # (expected, found) pairs, pre-state reads
-    sigma_writes: dict[tuple[str, str], Value] = {}
-    mu_writes: dict[str, Value] = {}
-    residual: set[Interaction] = set()
-
-    # structure first: every flow needs its interactions in place
-    for f in pp:
-        eta = by_receiver.get(f.dst.name)
-        if (
-            eta is None
-            or eta in consumed
-            or not isinstance(eta, (ValCom, Sel))
-            or eta.sender != f.src.name
-        ):
-            return FAIL_PORTS
-        consumed.add(eta)
-    pm_assign: list[tuple[Flow, Interaction]] = []
-    for p, group in pm_groups:
-        avail = [
-            eta for eta in etas_sorted if sender_of(eta) == p and eta not in consumed
-        ]
-        if not avail or len(avail) < len(group):
-            return FAIL_PORTS
-        for i, eta in enumerate(avail):
-            consumed.add(eta)
-            pm_assign.append((group[i % len(group)], eta))
-    mp_claims: list[tuple[Flow, Interaction]] = []
-    born_claims: list[tuple[Flow, Flow, Interaction]] = []  # (mp flow, birth, eta)
-    for f in mp:
-        eta = by_receiver.get(f.dst.name)
-        if eta is None:
-            return FAIL_PORTS
-        if eta not in consumed and isinstance(eta, (RecvVal, RecvSel)):
-            consumed.add(eta)
-            mp_claims.append((f, eta))
-            continue
-        birth = next((bf for bf, be in pm_assign if be is eta), None)
-        if birth is None or any(be is eta for _, _, be in born_claims):
-            return FAIL_PORTS
-        if f.src.name in _written_before(birth.dst.name, mm):
-            return FAIL_PORTS
-        born_claims.append((f, birth, eta))
-
     # one datum per sender and step, shared by all of its deposits
-    group_value: dict[str, Value] = {}
-    for f, eta in pm_assign:
-        if isinstance(eta, ValCom) and eta.sender not in group_value:
-            if sigma is not None:
-                group_value[eta.sender] = eval_expr(eta.expr, sigma, eta.sender)
-            else:
-                assert fresh is not None
-                group_value[eta.sender] = fresh(eta.sender)
+    data: dict[str, Value] = {}
+    for eta in plan.senders:
+        p = eta.sender
+        data[p] = fresh(p) if sigma is None else eval_expr(eta.expr, sigma, p)
 
     # data premises against the pre-state
-    for f in mm:
-        if mu[f.src.name] is BOT:
+    for src, _ in plan.moves:
+        if mu[src] is BOT:
             return FAIL_VALUE
-    for f, eta in mp_claims:
-        stored = mu[f.src.name]
-        if isinstance(eta, RecvVal):
-            expected = eta.value
-        else:
-            expected = Label(eta.label)
-        if stored != expected:
+    for cell, expected, _ in plan.claims:
+        if mu[cell] != expected:
             return FAIL_VALUE
-    for f, birth, eta in born_claims:
-        stored = mu[f.src.name]
-        if isinstance(eta, ValCom):
-            expected = group_value[eta.sender]
-        else:
-            assert isinstance(eta, Sel)
-            expected = Label(eta.label)
-        if stored != expected:
+    for cell, sender, _ in plan.births:
+        if mu[cell] != data[sender]:
             return FAIL_VALUE
 
     # effects; self-copies first so another writer to the same cell wins
-    for f in mm_ordered:
-        mu_writes[f.dst.name] = mu[f.src.name]
-    for f in pp:
-        eta = by_receiver[f.dst.name]
-        if isinstance(eta, ValCom) and sigma is not None:
-            v = eval_expr(eta.expr, sigma, eta.sender)
-            sigma_writes[(eta.receiver, eta.var)] = v
-    for f, eta in mp_claims:
-        if isinstance(eta, RecvVal) and sigma is not None:
-            sigma_writes[(eta.receiver, eta.var)] = eta.value
-    for f, eta in pm_assign:
-        if isinstance(eta, ValCom):
-            v = group_value[eta.sender]
-            mu_writes[f.dst.name] = v
-            residual.add(RecvVal(eta.receiver, eta.var, v))
+    mu_writes: dict[str, Value] = {}
+    for src, dst in plan.moves:
+        mu_writes[dst] = mu[src]
+    sigma_writes: dict[tuple[str, str], Value] = {}
+    if sigma is not None:
+        for eta in plan.handovers:
+            sigma_writes[(eta.receiver, eta.var)] = eval_expr(eta.expr, sigma, eta.sender)
+        for _, v, key in plan.claims:
+            if key is not None:
+                sigma_writes[key] = v
+    pending = []
+    for cell, sender, x in plan.deposits:
+        if sender is None:
+            mu_writes[cell] = x
         else:
-            assert isinstance(eta, Sel)
-            mu_writes[f.dst.name] = Label(eta.label)
-            residual.add(RecvSel(eta.receiver, eta.label))
-    for f, birth, eta in born_claims:
-        if isinstance(eta, ValCom):
-            v = group_value[eta.sender]
-            residual.discard(RecvVal(eta.receiver, eta.var, v))
-            if sigma is not None:
-                sigma_writes[(eta.receiver, eta.var)] = v
-        else:
-            residual.discard(RecvSel(eta.receiver, eta.label))
-
-    out_etas = frozenset((etas - consumed) | residual)
-    return (out_etas, sigma_writes, mu_writes)
+            v = mu_writes[cell] = data[sender]
+            if x is not None:
+                pending.append(RecvVal(x.receiver, x.var, v))
+    if sigma is not None:
+        for _, sender, key in plan.births:
+            sigma_writes[key] = data[sender]
+    return (plan.rest.union(pending) if pending else plan.rest, sigma_writes, mu_writes)
 
 
 def match_transition(
@@ -582,6 +606,29 @@ def prefix_splits(c: Prefix) -> Iterator[Exposure]:
     return _splits(c.etas, c.connector, c.cont, c.etas)
 
 
+def known_pn(c, env: Mapping, allow_unfold: bool) -> "frozenset[str] | None":
+    """Every process an exposure of c that `exposures` finds can name, when
+    env binds the procedures the walk may unfold at c: c's own, and those of
+    each body env binds to a free call of c, or of a body so reached.  None
+    when one of those calls is not bound in env.  Without unfolding, c's
+    own processes."""
+    procs = c.procs
+    if not allow_unfold or not c.calls:
+        return procs
+    reached, todo = set(c.calls), list(c.calls)
+    while todo:
+        body = env.get(todo.pop())
+        if body is None:
+            return None
+        if not body.procs <= procs:
+            procs = procs | body.procs
+        for name in body.calls:
+            if name not in reached:
+                reached.add(name)
+                todo.append(name)
+    return procs
+
+
 def exposures(
     c,
     env: dict,
@@ -612,16 +659,23 @@ def exposures(
         # before any merge there.  A cond exposure's process lies in pn(c)
         # and is blocked the same way.  Covering by all enclosing prefixes
         # would not be exact: a second merge, at P2, may keep only members
-        # of P1, and then nothing above need block the set.  `known_pn(c)`
+        # of P1, and then nothing above need block the set.  `known_pn`
         # holds every process an exposure from c can name.  With no free
         # call in c, each call the walk unfolds below c is bound by a def
         # inside c: the walk passed that def, or unfolded the body holding
         # it, before it met the call.  So every set and guard it exposes
-        # lies in c.procs.
+        # lies in c.procs.  A free call of c unfolds the body env binds,
+        # and the walk resolves that body's own free calls through env as
+        # well; a def it passes on the way binds a body that lies in c or
+        # in a body already counted.  So when env binds every call so
+        # reached, the exposures lie in c.procs and the procs of those
+        # bodies.  A walk that unfolds nothing exposes only what c.procs
+        # holds.  On a loop `def X = B in ...; X` the walk thus stops below
+        # the second prefix too, and does not unfold B again.
         etas, gamma, cont = c.etas, c.connector, c.cont
         my_pn = pn_etas(etas)
         if my_pn <= blocked:  # only then can the whole of c be covered
-            procs = known_pn(c)
+            procs = known_pn(c, env, allow_unfold)
             if procs is not None and procs <= blocked:
                 return
         yield from prefix_splits(c)

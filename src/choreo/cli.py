@@ -29,6 +29,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_choreography(args, runtime: bool = False) -> "textio.Program":
+    """The choreography at args.path; a network (.cp) is an InputError that
+    names the commands which take one."""
+    if args.path.endswith(".cp"):
+        raise InputError(
+            f"'{args.command}' takes a choreography (.cr), not a network (.cp); "
+            "use 'simulate' to run a network or 'validate' to check it"
+        )
+    return textio.parse_program(_read(args.path), runtime=runtime)
+
+
 # ---------------------------------------------------------------------------
 # Trace rendering: one line per step,
 #   step#  kind  connector  constraint  pre-state -> post-state
@@ -171,7 +182,7 @@ def _confluence_report(connectors) -> dict:
 
 
 def cmd_check(args) -> int:
-    prog = textio.parse_program(_read(args.path))
+    prog = _read_choreography(args)
     confluence = _confluence_report(prog.connectors)
     verdict = compat.check_compatibility(prog.main, prog.connectors)
     if args.json:
@@ -228,7 +239,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    prog = textio.parse_program(_read(args.path), runtime=args.runtime)
+    prog = _read_choreography(args, args.runtime)
     cfg = initial_configuration(prog)
     rng = random.Random(args.seed) if args.seed is not None else None
     res = chor_engine.run(cfg, prog.connectors, max_steps=args.max_steps, rng=rng)
@@ -245,7 +256,7 @@ def _project(prog: "textio.Program") -> "cp_engine.CpProgram":
 
 
 def cmd_project(args) -> int:
-    prog = textio.parse_program(_read(args.path))
+    prog = _read_choreography(args)
     try:
         cpprog = _project(prog)
     except epp.Unprojectable as exc:
@@ -284,7 +295,7 @@ def cmd_simulate(args) -> int:
 def cmd_correspond(args) -> int:
     from . import harness
 
-    prog = textio.parse_program(_read(args.path))
+    prog = _read_choreography(args)
     try:
         rep = harness.correspondence_check(prog, bound=args.bound)
     except epp.Unprojectable as exc:

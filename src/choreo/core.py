@@ -518,13 +518,6 @@ class Call:
 Choreography = Union[Prefix, Cond, Def, Call, End]
 
 
-def known_pn(c: Choreography) -> "frozenset[str] | None":
-    """The processes c can ever bring to the head, or None when c calls a
-    procedure it does not define: unfolding that call can bring any process
-    to the head."""
-    return None if c.calls else c.procs
-
-
 def size(c: Choreography) -> int:
     """The compatibility checker's termination metric (see Prefix)."""
     return c.size

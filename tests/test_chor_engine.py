@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
+import itertools
 import json
 import random
 from collections import deque
@@ -8,13 +11,15 @@ from pathlib import Path
 import pytest
 
 from choreo import chor_engine as ce
-from choreo import harness, textio
+from choreo import compat, harness, textio
 from choreo.core import (
     BOT,
     Call,
+    Const,
     Constraint,
     Def,
     END,
+    FALSE,
     Flow,
     Label,
     Mem,
@@ -26,6 +31,7 @@ from choreo.core import (
     TRUE,
     ValCom,
     Var,
+    sorted_etas,
 )
 
 from conftest import RING_AUTOMATA, load_program, ring_chain
@@ -153,6 +159,73 @@ def test_match_rejects_memory_cycles() -> None:
     mu = {"c1": "a", "c2": "b", "c3": BOT}
     m = ce.match_transition(frozenset(), chain, {}, mu)
     assert {**mu, **m[2]} == {"c1": "a", "c2": "a", "c3": "b"}
+
+
+def _matches(etas, phi, mu, store) -> tuple:
+    """The concrete and the symbolic outcome of one match."""
+    return ce.match_constraint(etas, phi, mu, store), compat.abstract_match(etas, phi, mu, {})
+
+
+def test_match_plans_give_what_a_fresh_match_gives() -> None:
+    # a plan is worked out once per interaction set and constraint; a match
+    # from a cold cache, from a warm one, and for an equal set built apart
+    # ends the same, on every exposure of every fixture's first states
+    for name in harness.list_fixtures(".cr"):
+        prog = harness.load_program(name)
+        start = ce.initial_configuration(prog)
+        seen, queue = {start}, deque([start])
+        for _ in range(100):
+            if not queue:
+                break
+            cfg = queue.popleft()
+            store = ce.SortedPairs(cfg.sigma)
+            for ex in ce.head_exposures(cfg.chor):
+                mu = ce.SortedPairs(cfg.astate[ce.find_key(cfg.astate, ex.subject)][1][1])
+                apart = frozenset(dataclasses.replace(e) for e in reversed(sorted_etas(ex.what)))
+                for t in prog.connectors[ex.subject].transitions:
+                    ce._match_plan.cache_clear()
+                    cold = _matches(ex.what, t.phi, mu, store)
+                    assert _matches(ex.what, t.phi, mu, store) == cold
+                    assert _matches(apart, t.phi, mu, store) == cold
+                    ce._match_plan.cache_clear()
+                    assert _matches(apart, t.phi, mu, store) == cold
+            for r in ce.reductions(cfg, prog.connectors):
+                if r.config not in seen:
+                    seen.add(r.config)
+                    queue.append(r.config)
+
+
+def test_match_plans_are_type_strict() -> None:
+    # 1 and true are different data, so sets that differ only there have
+    # plans of their own, whichever is matched first
+    deliver = _phi((Mem("m"), Port("c")))
+    hand_over = _phi((Port("a"), Port("c")))
+    for first, second in ((1, TRUE), (TRUE, 1)):
+        ce._match_plan.cache_clear()
+        for v in (first, second):
+            got = ce.match_constraint(frozenset({RecvVal("c", "t", v)}), deliver, {"m": 1}, {})
+            assert got == ("value" if v is TRUE else (frozenset(), {("c", "t"): 1}, {}))
+            etas = frozenset({ValCom("a", Const(v), "c", "t")})
+            assert ce.match_constraint(etas, hand_over, {}, {}) == (
+                frozenset(),
+                {("c", "t"): v},
+                {},
+            )
+
+
+def test_match_plans_keep_no_term_alive() -> None:
+    # the plan cache holds interaction sets and constraints, never a term:
+    # once a long run is dropped, its terms leave the weak table
+    text, steps, _, _ = ring_chain(2000)
+    gc.collect()
+    before = len(Prefix._table)
+    prog = textio.parse_program(text)
+    res = ce.run(ce.initial_configuration(prog), prog.connectors, max_steps=2 * steps)
+    assert res.outcome is ce.Outcome.TERMINATED
+    assert ce._match_plan.cache_info().currsize > 0
+    assert len(Prefix._table) >= before + 2000
+    del prog, res
+    assert len(Prefix._table) == before
 
 
 def test_head_exposures_cross_independent_prefixes() -> None:
@@ -376,7 +449,7 @@ def test_exposure_pruning_is_exact(monkeypatch) -> None:
     # with every process set unknown, no subterm is skipped
     def unpruned(cfg, g):
         with monkeypatch.context() as m:
-            m.setattr(ce, "known_pn", lambda c: None)
+            m.setattr(ce, "known_pn", lambda c, env, allow_unfold: None)
             return ce.reductions(cfg, g)
 
     for prog in _programs():
@@ -392,6 +465,73 @@ def test_exposure_pruning_is_exact(monkeypatch) -> None:
                         seen.add(r.config)
                         nxt.append(r.config)
             frontier = nxt
+
+
+def _counter_loops(monkeypatch, rounds: int):
+    """The benchmark's counter loop, one per (fwd, back, sel) kind triple."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    for kinds in itertools.product(("Sync", "Buffer1"), repeat=3):
+        yield textio.parse_program(gen.loop(random.Random(1), rounds, kinds).text)
+
+
+def _walk(c, unfold: bool) -> list:
+    """Each exposure of c as kind, subject, set or guard, processes, and the
+    terms it rebuilds around both outcomes of a step."""
+    out = []
+    for ex in ce.exposures(c, {}, frozenset(), unfold):
+        probe = (frozenset(), ex.what) if ex.kind == "com" else (TRUE, FALSE)
+        out.append((ex.kind, ex.subject, ex.what, ex.procs, [ex.rebuild(x) for x in probe]))
+    return out
+
+
+def test_pruning_through_bound_calls_is_exact(monkeypatch) -> None:
+    # the walk that bounds a subterm's processes through the calls its env
+    # binds finds what the walk that gives up under any call finds, in the
+    # same order and rebuilding the same terms, with and without unfolding
+    def unbound(c, env, allow_unfold):
+        return None if c.calls else c.procs
+
+    for prog in [*_programs(), *_counter_loops(monkeypatch, 3)]:
+        start = ce.initial_configuration(prog)
+        seen, queue = {start}, deque([start])
+        for _ in range(300):
+            if not queue:
+                break
+            cfg = queue.popleft()
+            for unfold in (True, False):
+                walked = _walk(cfg.chor, unfold)
+                with monkeypatch.context() as m:
+                    m.setattr(ce, "known_pn", unbound)
+                    assert walked == _walk(cfg.chor, unfold)
+            for r in ce.reductions(cfg, prog.connectors):
+                if r.config not in seen:
+                    seen.add(r.config)
+                    queue.append(r.config)
+
+
+def test_loop_walk_enters_at_most_four_nodes(monkeypatch) -> None:
+    # on `def X = B in ...` the walk stops below the second prefix, and under
+    # the conditional below the prefix that carries the recursive call,
+    # however many rounds the loop has left
+    prog = next(_counter_loops(monkeypatch, 50))  # all Sync
+    res = ce.run(ce.initial_configuration(prog), prog.connectors, max_steps=1000)
+    assert res.outcome is ce.Outcome.TERMINATED and len(res.trace) == 200
+    entered = [0]
+    walk = ce.exposures
+
+    def counted(*args):
+        entered[0] += 1
+        return walk(*args)
+
+    per_state = []
+    monkeypatch.setattr(ce, "exposures", counted)
+    for cfg in [ce.initial_configuration(prog), *(r.config for r in res.trace)]:
+        entered[0] = 0
+        ce.reductions(cfg, prog.connectors)
+        per_state.append(entered[0])
+    assert max(per_state) <= 4
 
 
 WALK_PINS = json.loads((Path(__file__).parent / "walk_pins.json").read_text())

@@ -50,6 +50,17 @@ def test_validate_missing_file(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd", ["check", "run", "project", "correspond"])
+def test_choreography_commands_turn_a_network_away(capsys, cmd) -> None:
+    # a .cp is not read as a .cr: the error names the commands that take one
+    code, out, err = _run(capsys, cmd, _fx("booksale.cp"))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: '{cmd}' takes a choreography (.cr), not a network (.cp); "
+        "use 'simulate' to run a network or 'validate' to check it\n"
+    )
+
+
 def test_check_compatible(capsys) -> None:
     code, out, _ = _run(capsys, "check", _fx("booksale.cr"))
     assert code == 0

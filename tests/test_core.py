@@ -38,12 +38,11 @@ from choreo.core import (
     Var,
     desugar_multicast,
     instantiate,
-    known_pn,
     sorted_etas,
     validate_automaton,
     validate_interaction_set,
 )
-from choreo.chor_engine import initial_configuration
+from choreo.chor_engine import initial_configuration, known_pn
 from choreo.epp import BEND, PortName, Send, project_behaviour
 from choreo.harness import (
     exhaustive_explore,
@@ -276,8 +275,15 @@ def test_node_facts_agree_with_a_reference_walk() -> None:
 
 def test_known_pn_knows_a_closed_def() -> None:
     body = Prefix(frozenset({Sel("a", "b", "go")}), "g", Call("X"))
-    assert known_pn(Def("X", body, Call("X"))) == frozenset({"a", "b"})
-    assert known_pn(body) is None
+    assert known_pn(Def("X", body, Call("X")), {}, True) == frozenset({"a", "b"})
+    assert known_pn(body, {}, True) is None
+    # a call the walk's env binds adds its body's processes, transitively
+    other = Prefix(frozenset({Sel("c", "d", "go")}), "h", Call("X"))
+    assert known_pn(body, {"X": other}, True) == frozenset("abcd")
+    assert known_pn(Call("Y"), {"Y": other}, True) is None  # other's X is read from env too
+    assert known_pn(Call("Y"), {"Y": other, "X": body}, True) == frozenset("abcd")
+    # a walk that unfolds nothing exposes only the term's own processes
+    assert known_pn(body, {}, False) == frozenset({"a", "b"})
 
 
 def test_sorted_etas_is_deterministic() -> None:
