@@ -734,18 +734,36 @@ def head_exposures(c, unfold: bool = True) -> list[Exposure]:
 # Reductions and runs
 
 
-def iter_reductions(cfg: Configuration, g: ConnectorMapping) -> Iterator[Step]:
+def iter_reductions(
+    cfg: Configuration, g: ConnectorMapping, memo: "lts.StepMemo | None" = None
+) -> Iterator[Step]:
     """Every one-step successor, deterministically ordered and deduplicated,
     built as it is asked for: the com steps of each exposure as the walk
     finds it, then the cond steps of the cond exposures it passed.  A
     successor shares with cfg its store when the step writes none, and the
-    state of every connector but the fired one."""
+    state of every connector but the fired one.
+
+    With a memo, a term rooted at a def has its exposures worked out once,
+    as a tuple in walk order, and each successor term once per exposure and
+    residual set, or branch taken.  Any other term, and every term without
+    a memo, is walked as the successors are asked for."""
     chor = normalize(cfg.chor)
     sigma, astate = cfg.sigma, cfg.astate
     store = SortedPairs(sigma)
     conds: list[Exposure] = []
     seen = lts.Seen()
-    for ex in exposures(chor, {}, frozenset(), True):
+    if memo is None or chor.__class__ is not Def:
+        walk = exposures(chor, {}, frozenset(), True)
+    else:
+        walk = memo.get(chor)
+        if walk is None:
+            walk = memo[chor] = tuple(
+                Exposure(
+                    ex.kind, ex.subject, ex.what, ex.procs, lts.rebuilt_once(ex.rebuild, normalize)
+                )
+                for ex in exposures(chor, {}, frozenset(), True)
+            )
+    for ex in walk:
         if ex.kind != "com":
             conds.append(ex)
             continue
@@ -775,9 +793,11 @@ def iter_reductions(cfg: Configuration, g: ConnectorMapping) -> Iterator[Step]:
             yield Step("cond", ex.subject, None, "then" if v else "else", None, None, succ)
 
 
-def reductions(cfg: Configuration, g: ConnectorMapping) -> list[Step]:
+def reductions(
+    cfg: Configuration, g: ConnectorMapping, memo: "lts.StepMemo | None" = None
+) -> list[Step]:
     """All one-step successors (`iter_reductions`), as a list."""
-    return list(iter_reductions(cfg, g))
+    return list(iter_reductions(cfg, g, memo))
 
 
 def run(
@@ -787,7 +807,8 @@ def run(
     rng: "random.Random | None" = None,
 ) -> RunResult:
     """Drive one execution of the choreography (`lts.run`).  Without an rng
-    it builds only the successor it takes."""
+    it builds only the successor it takes, so it walks each term only as far
+    as its first step, and keeps no memo."""
     return lts.run(
         cfg, lambda c: iter_reductions(c, g), lambda c: is_terminated(c), max_steps, rng
     )

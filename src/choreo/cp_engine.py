@@ -234,6 +234,27 @@ def _focus(b: Behaviour, env: dict, unfolded: frozenset) -> "Focus | None":
     return Focus(b, _identity)
 
 
+# A step reads a process's first action, and rebuilds the process around
+# what replaces it.  A behaviour rooted at anything but a def or a call is its
+# own first action, and normalizing the replacement rebuilds it.  One rooted
+# at a def or a call unfolds on the way: its focus, and each normal behaviour
+# rebuilt from it, are worked out once per run or search and kept in its
+# `StepMemo`, as a recursive procedure comes back to them round after round.
+
+
+def _def_head(memo: lts.StepMemo, b: Behaviour) -> "Focus | None":
+    """head_focus(b), once per memo, with a rebuild that normalizes what it
+    builds, once per replacement."""
+    try:
+        return memo[b]
+    except KeyError:
+        focus = head_focus(b)
+        if focus is not None:
+            focus = Focus(focus.action, lts.rebuilt_once(focus.rebuild, normalize_behaviour))
+        memo[b] = focus
+        return focus
+
+
 # ---------------------------------------------------------------------------
 # Transition matching
 
@@ -297,34 +318,43 @@ def _port_plan(phi: Constraint) -> "_PortPlan | str":
     return plan
 
 
-def _owner_focus(procs: tuple, q: str) -> "tuple[int, Focus] | None":
-    """Where process q sits in a network's process tuple, and its head."""
+def _owner(procs: tuple, q: str, memo: lts.StepMemo) -> "tuple[int, Behaviour, Callable] | None":
+    """Where process q sits in a network's process tuple, its first action,
+    and what gives its normal behaviour around a replacement for it."""
     i = bisect_left(procs, q, key=itemgetter(0))
     if i == len(procs) or procs[i][0] != q:
         return None
-    focus = head_focus(procs[i][2])
-    return None if focus is None else (i, focus)
+    b = procs[i][2]
+    if b.__class__ is BDef or b.__class__ is BCall:
+        focus = _def_head(memo, b)
+        return None if focus is None else (i, focus.action, focus.rebuild)
+    return (i, b, normalize_behaviour)
 
 
-def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
+def cp_match_transition(
+    net: Network, phi: Constraint, mu: Mapping[str, Value], memo: "lts.StepMemo | None" = None
+):
     """Fire phi against the network.  Returns (net', mu writes) or a failure
     stage string ('ports' for shape, 'value' for a datum premise).  Only the
     processes that own a port of phi are read, and the new network is built
     only when phi fires.  Each process phi moves is normalized, and dropped
-    if it finishes, so net' is marked normal when net is."""
+    if it finishes, so net' is marked normal when net is.  What the match
+    works out about a behaviour under a def is kept in memo."""
     plan = _port_plan(phi)
     if plan is FAIL_PORTS:
         return FAIL_PORTS
+    if memo is None:
+        memo = lts.StepMemo()
     procs = net.procs
-    heads: dict[str, tuple[int, Focus]] = {}
+    heads: dict[str, tuple[int, Behaviour, Callable]] = {}
 
     # shape: senders first
     out_label: dict[str, "str | None"] = {}
     for p, port, _cells in plan.senders:
-        head = heads[p] = _owner_focus(procs, p)
+        head = heads[p] = _owner(procs, p, memo)
         if head is None:
             return FAIL_PORTS
-        action = head[1].action
+        action = head[1]
         if isinstance(action, Send) and action.port == port:
             out_label[p] = None
         elif isinstance(action, SelSend) and action.port == port:
@@ -332,10 +362,10 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
         else:
             return FAIL_PORTS
     for q, port, sender, _cell in plan.receivers:
-        head = heads[q] = _owner_focus(procs, q)
+        head = heads[q] = _owner(procs, q, memo)
         if head is None:
             return FAIL_PORTS
-        action = head[1].action
+        action = head[1]
         if sender is None:  # from a cell
             ok = isinstance(action, (Recv, Branch)) and action.port == port
         elif out_label[sender] is None:
@@ -358,7 +388,7 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
             stored = mu[cell]
             if stored is BOT:
                 return FAIL_VALUE
-            action = heads[q][1].action
+            action = heads[q][1]
             if isinstance(action, Branch):
                 if not (
                     isinstance(stored, Label) and stored.name in action.case_map()
@@ -368,8 +398,7 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
     # effects
     out_value: dict[str, Value] = {}
     for p, _port, _cells in plan.senders:
-        i, focus = heads[p]
-        action = focus.action
+        i, action, _ = heads[p]
         if isinstance(action, Send):
             out_value[p] = _store_eval(action.expr, SortedPairs(procs[i][1]))
         else:
@@ -380,23 +409,21 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
     for p, _port, cells in plan.senders:
         for m in cells:
             mu_writes[m] = out_value[p]
-        i, focus = heads[p]
-        b = normalize_behaviour(focus.rebuild(focus.action.cont))  # type: ignore[union-attr]
+        i, action, rebuild = heads[p]
+        b = rebuild(action.cont)  # type: ignore[union-attr]
         new[i] = (p, procs[i][1], b)
         if b is BEND:
             finished.append(i)
     for q, _port, sender, cell in plan.receivers:
         delivered = out_value[sender] if sender is not None else mu[cell]
-        i, focus = heads[q]
-        action = focus.action
+        i, action, rebuild = heads[q]
         store = procs[i][1]
         if isinstance(action, Recv):
             store = write_sorted(store, {action.var: delivered})
-            b = focus.rebuild(action.cont)
+            b = rebuild(action.cont)
         else:
             assert isinstance(action, Branch) and isinstance(delivered, Label)
-            b = focus.rebuild(action.case_map()[delivered.name])
-        b = normalize_behaviour(b)
+            b = rebuild(action.case_map()[delivered.name])
         new[i] = (q, store, b)
         if b is BEND:
             finished.append(i)
@@ -413,13 +440,16 @@ def cp_match_transition(net: Network, phi: Constraint, mu: Mapping[str, Value]):
 
 
 def cp_iter_reductions(
-    cfg: NetConfiguration, automata: ConnectorMapping
+    cfg: NetConfiguration, automata: ConnectorMapping, memo: "lts.StepMemo | None" = None
 ) -> Iterator[Step]:
     """Every reduction of cfg, built as it is asked for: communications
     connector by connector, then conditionals process by process, each in
     name order.  A successor shares everything the step leaves alone with
     cfg, and its network is normal: the step normalizes only the processes
-    it moves."""
+    it moves.  A run or search passes its memo (`StepMemo`); without one,
+    the call keeps its own."""
+    if memo is None:
+        memo = lts.StepMemo()
     net, astate = normalize_network(cfg.net), cfg.astate
     procs = net.procs
     seen = lts.Seen()
@@ -428,7 +458,7 @@ def cp_iter_reductions(
             raise InputError(f"no automaton for connector {g}")
         mu = SortedPairs(cells)
         for t in automata[g].outgoing(state):
-            m = cp_match_transition(net, t.phi, mu)
+            m = cp_match_transition(net, t.phi, mu, memo)
             if isinstance(m, str):
                 continue
             net2, mu_writes = m
@@ -436,25 +466,32 @@ def cp_iter_reductions(
             if seen.add(("com", g, t.phi, succ)):
                 yield Step("com", g, t.phi, None, state, t.dst, succ)
     for i, (q, store, b) in enumerate(procs):
-        focus = head_focus(b)
-        if focus is None or not isinstance(focus.action, BCond):
+        action, rebuild = b, normalize_behaviour
+        if b.__class__ is BDef or b.__class__ is BCall:
+            focus = _def_head(memo, b)
+            if focus is None:
+                continue
+            action, rebuild = focus.action, focus.rebuild
+        if action.__class__ is not BCond:
             continue
-        v = _store_eval(focus.action.guard, SortedPairs(store))
+        v = _store_eval(action.guard, SortedPairs(store))
         if not isinstance(v, Bool):
             raise EvalError(f"guard at {q} is not a boolean: {v!r}")
-        chosen = focus.action.then_branch if v else focus.action.else_branch
-        nb = normalize_behaviour(focus.rebuild(chosen))
+        chosen = action.then_branch if v else action.else_branch
+        nb = rebuild(chosen)
         rewritten = () if nb is BEND else ((q, store, nb),)
         net2 = Network(procs[:i] + rewritten + procs[i + 1 :])
         _set(net2, "normal", True)
         succ = NetConfiguration(net2, astate)
-        if seen.add(("cond", q, focus.action.guard, v, succ)):
+        if seen.add(("cond", q, action.guard, v, succ)):
             yield Step("cond", q, None, "then" if v else "else", None, None, succ)
 
 
-def cp_reductions(cfg: NetConfiguration, automata: ConnectorMapping) -> list[Step]:
+def cp_reductions(
+    cfg: NetConfiguration, automata: ConnectorMapping, memo: "lts.StepMemo | None" = None
+) -> list[Step]:
     """Every reduction of cfg (`cp_iter_reductions`), as a list."""
-    return list(cp_iter_reductions(cfg, automata))
+    return list(cp_iter_reductions(cfg, automata, memo))
 
 
 def cp_terminated(cfg: NetConfiguration) -> bool:
@@ -468,10 +505,11 @@ def cp_run(
     rng: "random.Random | None" = None,
 ) -> RunResult:
     """Drive one execution of the network (`lts.run`).  Without an rng it
-    builds only the successor it takes."""
+    builds only the successor it takes.  The run keeps one `StepMemo`."""
+    memo = lts.StepMemo()
     return lts.run(
         cfg,
-        lambda c: cp_iter_reductions(c, automata),
+        lambda c: cp_iter_reductions(c, automata, memo),
         lambda c: cp_terminated(c),
         max_steps,
         rng,

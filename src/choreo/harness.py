@@ -68,7 +68,7 @@ from .cp_engine import (
     pruning_leq,
 )
 from .epp import project_connectors, project_network, projectable
-from .lts import Search, Step, search
+from .lts import Search, Step, StepMemo, search
 from . import textio
 
 
@@ -293,9 +293,11 @@ def oracle_by_label(results: set[OracleResult]) -> dict[Constraint, set[tuple]]:
 
 
 def exhaustive_explore(cfg: Configuration, g: ConnectorMapping, bound: int) -> Search:
-    """Breadth-first closure of the reduction relation to the given depth."""
+    """Breadth-first closure of the reduction relation to the given depth.
+    The search keeps one `StepMemo`."""
     cfg = Configuration.make(normalize(cfg.chor), cfg.sigma_map(), cfg.astate_map())
-    return search(cfg, lambda c: reductions(c, g), bound, lambda c: is_terminated(c))
+    memo = StepMemo()
+    return search(cfg, lambda c: reductions(c, g, memo), bound, lambda c: is_terminated(c))
 
 
 def advance_until_connector(
@@ -351,18 +353,20 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
     c0 = initial_configuration(program)
     # Many pairs, both directions of a pair and the completion searches ask
     # about the same states, so each choreography state is projected once and
-    # each verdict is worked out once, for the whole search.
+    # each verdict is worked out once, for the whole search.  Each side keeps
+    # one `StepMemo` for the search.
     projected: dict[Configuration, Network] = {c0: _project_cfg(c0)}
     verdicts: dict[tuple[Configuration, NetConfiguration], bool] = {}
     n0 = NetConfiguration.make(projected[c0], c0.astate_map())
     gaps: list[str] = []
     pairs = 0
+    chor_memo, net_memo = StepMemo(), StepMemo()
 
     def chor_steps(c: Configuration) -> list[Step]:
-        return reductions(c, g)
+        return reductions(c, g, chor_memo)
 
     def net_steps(n: NetConfiguration) -> list[Step]:
-        return cp_reductions(n, pg)
+        return cp_reductions(n, pg, net_memo)
 
     def above(c: Configuration, n: NetConfiguration) -> bool:
         """Whether n lies above c's projection."""

@@ -6,6 +6,8 @@ drives one execution, `search` explores breadth first, and `stuck_report`
 explains a state that has no step.  `run`'s successor function may build
 its steps lazily: without an rng it takes only the first, so a generator
 builds only the step taken.  `search` expands every step and takes a list.
+A `StepMemo` carries a semantics' structural work on terms under a def from
+one step of a run or search to the next.
 """
 
 from __future__ import annotations
@@ -76,6 +78,32 @@ class Seen:
             return False
         keys.add(key)
         return True
+
+
+class StepMemo(dict):
+    """What one run or one search works out once about each term it steps
+    through under a procedure definition, keyed by that term: what the term
+    brings to the head, each with a rebuild that gives the normal term for a
+    step's outcome, once per outcome (`rebuilt_once`).  A recursive
+    procedure comes back to the same few terms round after round while its
+    stores and cells change, so matching, evaluation and writes still run on
+    every step.  The call that makes a memo drops it when it returns: no
+    term outlives that call through it, and every call starts cold."""
+
+    __slots__ = ()
+
+
+def rebuilt_once(rebuild: Callable, normalize: Callable) -> Callable:
+    """normalize(rebuild(x)), worked out once for each x."""
+    built: dict = {}
+
+    def once(x):
+        t = built.get(x)
+        if t is None:
+            t = built[x] = normalize(rebuild(x))
+        return t
+
+    return once
 
 
 class Outcome(Enum):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
@@ -105,17 +106,24 @@ def test_equal_terms_are_one_object() -> None:
 
 def test_dropping_a_long_term_empties_its_table() -> None:
     # the tables hold the nodes weakly, and freeing a long term does not
-    # recurse once per node
+    # recurse once per node.  Garbage that earlier tests left in cycles is
+    # freed first, and the collector stays off, so only this term's nodes
+    # come and go from the tables.
     etas = frozenset({ValCom("a", Var("x"), "b", "y")})
     port = PortName("o", "a", "g")
     n = 200_000
-    before = len(Prefix._table), len(Send._table)
-    c, b = END, BEND
-    for _ in range(n):
-        c, b = Prefix(etas, "g", c), Send(port, Var("x"), b)
-    assert (len(Prefix._table), len(Send._table)) == (before[0] + n, before[1] + n)
-    del c, b
-    assert (len(Prefix._table), len(Send._table)) == before
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(Prefix._table), len(Send._table)
+        c, b = END, BEND
+        for _ in range(n):
+            c, b = Prefix(etas, "g", c), Send(port, Var("x"), b)
+        assert (len(Prefix._table), len(Send._table)) == (before[0] + n, before[1] + n)
+        del c, b
+        assert (len(Prefix._table), len(Send._table)) == before
+    finally:
+        gc.enable()
 
 
 def test_python_bools_are_not_values() -> None:

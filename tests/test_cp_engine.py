@@ -422,9 +422,9 @@ def _nodes_per_step(monkeypatch, n: int) -> list[int]:
     per_step: list[int] = []
     iter_reductions = cpe.cp_iter_reductions
 
-    def counted_iter_reductions(cfg, automata):
+    def counted_iter_reductions(cfg, automata, memo=None):
         before = built[0]
-        out = list(iter_reductions(cfg, automata))
+        out = list(iter_reductions(cfg, automata, memo))
         per_step.append(built[0] - before)
         return out
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import random
 from pathlib import Path
@@ -7,16 +9,21 @@ from pathlib import Path
 import pytest
 
 from choreo import chor_engine as ce
+from choreo import cp_engine as cpe
 from choreo import epp, harness, textio
+from choreo.cli import _project
 from choreo.cp_engine import pruning_leq
-from choreo.epp import project_network
+from choreo.epp import BDef, project_network
+from choreo.lts import Search, Step, StepMemo, run, search
 from choreo.core import (
     BOT,
     Constraint,
+    Def,
     Flow,
     Label,
     Mem,
     Port,
+    Prefix,
     RecvVal,
     Sel,
     TRUE,
@@ -336,3 +343,158 @@ def test_advance_until_connector_stops_at_the_right_prefix() -> None:
     cfg2 = harness.advance_until_connector(cfg, prog.connectors, "ac2bs")
     rs = ce.reductions(cfg2, prog.connectors)
     assert any(r.subject == "ac2bs" for r in rs)
+
+
+# ---------------------------------------------------------------------------
+# Step memos
+
+# A counter that swaps between a.n and a.m each round, so a.n holds 1 and
+# true in turn.  The term in flight after the deposit into f differs between
+# the two rounds only in that value: a memo that mixed up 1 and true would
+# deliver the wrong datum, and the delivery from the cell would fail.
+TYPE_SWAP = RING_AUTOMATA + """
+connectors {
+  f: Buffer1[a/p1, b/p2];
+  h: Sync[a/p1, b/p2];
+  k: Sync[b/p1, a/p2];
+}
+init { a.n = 1; a.m = true; b.n = 0; b.m = 0; }
+main {
+  def X = {
+    a.n -> b.m thru f;
+    a.m -> b.n thru h;
+    b.m -> a.m thru k;
+    b.n -> a.n thru k;
+    X
+  } in {
+    X
+  }
+}
+"""
+
+
+def _counter_loop(monkeypatch, rounds: int, kinds: tuple, seed: int = 1) -> textio.Program:
+    """The benchmark's counter loop with the given (fwd, back, sel) kinds.
+    The seed picks the names."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    return textio.parse_program(gen.loop(random.Random(seed), rounds, kinds).text)
+
+
+def _memo_programs(monkeypatch):
+    for name in harness.list_fixtures(".cr"):
+        yield 12, load_program(name)
+    for seed in range(300):
+        yield 12, gen_random_program(random.Random(seed))
+    for kinds in itertools.product(("Sync", "Buffer1"), repeat=3):
+        yield 40, _counter_loop(monkeypatch, 5, kinds)
+    yield 40, textio.parse_program(TYPE_SWAP)
+
+
+def _same_search(a: Search, b: Search) -> None:
+    assert (a.nodes, a.edges, a.stuck, a.terminated, a.truncated) == (
+        b.nodes,
+        b.edges,
+        b.stuck,
+        b.terminated,
+        b.truncated,
+    )
+
+
+def _same_steps(steps: list[Step], expected: list[Step]) -> None:
+    assert [r.label for r in steps] == [r.label for r in expected]
+    assert steps == expected
+
+
+def test_step_memos_are_exact(monkeypatch) -> None:
+    # a search or run that keeps one memo reaches the same states, edges and
+    # traces, and every state has the same steps in the same order, as the
+    # same calls without a memo or with a fresh one
+    engaged = 0
+    swaps = set()
+    for bound, prog in _memo_programs(monkeypatch):
+        g = prog.connectors
+        start = ce.initial_configuration(prog)
+        res = exhaustive_explore(start, g, bound)
+        _same_search(res, search(start, lambda c: ce.reductions(c, g), bound, ce.is_terminated))
+        shared = StepMemo()
+        for cfg in res.nodes:
+            steps = ce.reductions(cfg, g, shared)
+            _same_steps(steps, ce.reductions(cfg, g))
+            _same_steps(steps, ce.reductions(cfg, g, StepMemo()))
+            swaps.add(dict(cfg.sigma).get(("a", "n")))
+        engaged += bool(shared)
+        try:
+            cp = _project(prog)
+        except epp.Unprojectable:
+            continue
+        a, n0 = cp.automata, cp.init
+        for rng in (None, 0, 1):
+            ran = cpe.cp_run(n0, a, 60, None if rng is None else random.Random(rng))
+            plain = run(
+                n0,
+                lambda n: cpe.cp_iter_reductions(n, a),
+                cpe.cp_terminated,
+                60,
+                None if rng is None else random.Random(rng),
+            )
+            assert (ran.outcome, ran.final) == (plain.outcome, plain.final)
+            _same_steps(ran.trace, plain.trace)
+        shared = StepMemo()
+        net = search(n0, lambda n: cpe.cp_reductions(n, a, shared), bound, cpe.cp_terminated)
+        _same_search(net, search(n0, lambda n: cpe.cp_reductions(n, a), bound, cpe.cp_terminated))
+        shared = StepMemo()
+        for n in net.nodes:
+            _same_steps(cpe.cp_reductions(n, a, shared), cpe.cp_reductions(n, a))
+        engaged += bool(shared)
+    assert engaged >= 2 * 9  # the loops and the swap, on both sides
+    assert {1, TRUE} <= swaps
+
+
+def _defs_built(monkeypatch, rounds: int) -> tuple[int, int]:
+    """Def nodes built by one search and BDef nodes built by one run of an
+    all-Sync counter loop, counting a construction that finds its node."""
+    prog = _counter_loop(monkeypatch, rounds, ("Sync", "Sync", "Sync"))
+    cp = _project(prog)
+    start = ce.initial_configuration(prog)
+    built = {Def: 0, BDef: 0}
+    with monkeypatch.context() as m:
+        for cls in built:
+
+            def counted_new(cls, *args, _new=cls.__new__):
+                built[cls] += 1
+                return _new(cls, *args)
+
+            m.setattr(cls, "__new__", counted_new)
+        res = exhaustive_explore(start, prog.connectors, 4 * rounds + 2)
+        ran = cpe.cp_run(cp.init, cp.automata, max_steps=4 * rounds + 2)
+    assert len(res.nodes) == 4 * rounds + 1 and not res.truncated
+    assert ran.outcome is cpe.Outcome.TERMINATED and len(ran.trace) == 4 * rounds
+    return built[Def], built[BDef]
+
+
+def test_a_loop_builds_its_defs_once_per_search_and_run(monkeypatch) -> None:
+    # the memo rebuilds a loop's terms in its first round only: later rounds
+    # find each successor term in it
+    assert _defs_built(monkeypatch, 20) == _defs_built(monkeypatch, 80)
+
+
+def test_step_memos_keep_no_term_alive(monkeypatch) -> None:
+    # each memo lives as long as the call that makes it: once the results
+    # are dropped, every term those calls built has left its table.  The
+    # loop's names are its own, so no term of another test can stand in.
+    prog = _counter_loop(monkeypatch, 20, ("Buffer1", "Buffer1", "Sync"), seed=7)
+    cp = _project(prog)
+    start = ce.initial_configuration(prog)
+    tables = (Def._table, Prefix._table, BDef._table)
+    gc.collect()
+    before = [len(t) for t in tables]
+    ran = cpe.cp_run(cp.init, cp.automata, max_steps=200)
+    res = exhaustive_explore(start, prog.connectors, 200)
+    rep = correspondence_check(prog, bound=40)
+    assert ran.outcome is cpe.Outcome.TERMINATED and res.terminated and rep.ok
+    assert [len(t) for t in tables] > before
+    del ran, res, rep
+    gc.collect()
+    assert [len(t) for t in tables] == before
