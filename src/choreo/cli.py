@@ -29,14 +29,23 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _refuse_automaton(args, takes: str) -> None:
+    """An automaton (.ca) at args.path is an InputError that names `validate`."""
+    if args.path.endswith(".ca"):
+        raise InputError(
+            f"'{args.command}' takes {takes}, not an automaton (.ca); use 'validate' to check it"
+        )
+
+
 def _read_choreography(args, runtime: bool = False) -> "textio.Program":
-    """The choreography at args.path; a network (.cp) is an InputError that
-    names the commands which take one."""
+    """The choreography at args.path; a network (.cp) or an automaton (.ca)
+    is an InputError that names the commands which take one."""
     if args.path.endswith(".cp"):
         raise InputError(
             f"'{args.command}' takes a choreography (.cr), not a network (.cp); "
             "use 'simulate' to run a network or 'validate' to check it"
         )
+    _refuse_automaton(args, "a choreography (.cr)")
     return textio.parse_program(_read(args.path), runtime=runtime)
 
 
@@ -275,6 +284,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _refuse_automaton(args, "a network (.cp) or a choreography (.cr)")
     if args.path.endswith(".cp"):
         cpprog = textio.parse_cp(_read(args.path))
     else:

@@ -6,16 +6,18 @@ replaced by tokens, so verdicts hold for every initial store.  The n-th
 datum process `a` sends on a path is `FreshToken("a", n)`, printed `#a.n`:
 a process's count only grows along a path, so the tokens of one path are
 distinct, and every order of the same sends makes the same tokens.  Each
-procedure gets one shared unknown connector-state, fixed at its first call,
-which checks the body from it, and required at every later call, at the
-connectors the procedure can reach and up to a consistent renaming of
-tokens.  Apart from that one step into each body, the worklist always
-replaces an item by strictly smaller items under the size metric
-`core.size`, which is asserted on every iteration; this is what
-makes the check terminate, and is also why transitions that consume no
-interaction (pure cell-to-cell moves) are skipped here: the runtime permits
-them, but following them would not shrink anything.  Every node works its
-metric out when it is built, so the assertion reads one field.
+procedure body is checked once from each connector state its calls enter it
+with, taken at the connectors the procedure can reach and up to a consistent
+renaming of tokens.  These entry states are finitely many: the connectors
+have finitely many states, and their cells hold only initial constants,
+labels and tokens, which the renaming numbers by first occurrence.  Apart
+from those steps into bodies, the worklist always replaces an item by
+strictly smaller items under the size metric `core.size`, which is asserted
+on every iteration.  Together these make the check terminate, and they are
+why transitions that consume no interaction (pure cell-to-cell moves) are
+skipped here: the runtime permits them, but following them would not shrink
+anything.  Every node works its metric out when it is built, so the
+assertion reads one field.
 
 A judgement is a procedure frame, a connector state and a choreography; the
 worklist checks each distinct one once, and fires only the first prefix while
@@ -89,11 +91,12 @@ def abstract_match(
 
 
 class StateVar:
-    """The connector-state a procedure is entered with, at the connectors it
-    can reach (`relevant`): unknown until the first call instantiates it."""
+    """The connector-states a procedure is entered with, at the connectors it
+    can reach (`relevant`), each token-renamed by `_canon_astate`: empty until
+    the first call."""
 
     def __init__(self, body) -> None:
-        self.value: "tuple | None" = None
+        self.entries: set[tuple] = set()
         self.relevant: frozenset[str] = frozenset()
         self.body = body
 
@@ -214,11 +217,10 @@ def check_compatibility(
     the choreography, symbolically.  Yes is sound for deadlock-freedom when
     the automata are confluent; No does not imply a deadlock.
 
-    Procedure calls are not unfolded: each procedure is checked once, from
-    the connector state of its first call, and every later call must enter
-    it with the same state at the connectors the procedure can reach.  The
-    body fires only those, so connectors it cannot reach cannot spoil the
-    comparison.
+    Procedure calls are not unfolded: each procedure is checked once from
+    each connector state its calls enter it with, at the connectors the
+    procedure can reach and up to a renaming of tokens.  The body fires only
+    those, so connectors it cannot reach make no new entry state.
     """
     c = normalize(c)
     _check_defs_called(c)
@@ -231,21 +233,25 @@ def check_compatibility(
     # An entry is (key, parent judgement, via, sent): the key is the judgement
     # itself, procedure frame, connector state and choreography, and `sent`,
     # the path's send counts, names the tokens made below it.  A judgement
-    # whose key was checked before is skipped.  This is exact.  Every
-    # successor is strictly smaller (asserted below) but a procedure's body,
-    # pushed once, by the call that fixes its StateVar, with the frame that
-    # ends at it; below that, frames extend it, or end further out and are
-    # the frames of procedures that cannot reach it.  So no key recurs in its
-    # own subtree, and the stack finishes a key's whole subtree, without
-    # failure, before any duplicate of it is popped.  The duplicate's path
-    # made every token of the key too, so a token made below is new on both
-    # paths, and the duplicate's subtree would check the same judgements up to
-    # a renaming of the tokens made in it, against StateVar values the first
-    # subtree has already fixed; re-entry compares token-renamed states.  So
-    # verdicts, failing judgements, attempts and paths, tokens included, stay
-    # what they were without the memo, and only the count of judgements
-    # falls.  The frame holds the StateVar objects themselves, never their
-    # ids, which a freed one can hand on.
+    # whose key was checked before is skipped.  This keeps the verdict.  The
+    # duplicate's path made every token of the key too, so a token made below
+    # is new on both paths, and the duplicate's subtree would check the same
+    # judgements as the first one's, up to a renaming of the tokens made in
+    # them.  A call never fails: it pushes its procedure's body only from an
+    # entry state no call brought before, and a body checked from another
+    # state with the same entry state checks the same judgements up to
+    # renaming, as it fires only the connectors in `relevant`.  So every
+    # judgement a skipped duplicate would check is checked, up to renaming,
+    # by the first subtree or by the body pushed for its entry state.  Every
+    # successor but a body is strictly smaller (asserted below), and a body is
+    # pushed once per entry state of its procedure, so the check terminates
+    # without the memo too.  A body may be pushed again beneath itself, from
+    # another entry state, and then a key can recur in its own subtree before
+    # that subtree is done: a No may then report another failing judgement,
+    # or another path to it, than the check without the memo.  On every
+    # fixture the reports agree, and only the count of judgements falls.  The
+    # frame holds the StateVar objects themselves, never their ids, which a
+    # freed one can hand on.
     worklist: list[tuple] = [(((), root, c), None, "start", {})]
     visited: set[tuple] = set()
     checked = 0
@@ -266,19 +272,13 @@ def check_compatibility(
             else:
                 raise InputError(f"call of undefined procedure {ch.name}")
             var = gamma[i][1]
-            current = _canon_astate(astate, var.relevant)
-            if var.value is None:
-                # the body runs from the state its first call enters it with
-                var.value = current
+            entry = _canon_astate(astate, var.relevant)
+            if entry not in var.entries:
+                # the body runs from each state a call first enters it with
+                var.entries.add(entry)
                 key2 = (gamma[: i + 1], astate, normalize(var.body))
                 if key2 not in visited:
                     worklist.append((key2, j, f"body of {ch.name}", sent))
-            elif var.value != current:
-                return CompatNo(
-                    j,
-                    f"procedure {ch.name} is re-entered with a different connector state",
-                    [],
-                )
             continue
         budget = size(ch)
         if isinstance(ch, Cond):

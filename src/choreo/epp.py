@@ -383,17 +383,6 @@ def _project_prefix(c, r: str, cont: Behaviour) -> Behaviour:
     return cont
 
 
-def projectable(c) -> bool:
-    """Whether every process of c has a defined projection.  This never looks
-    at any store, so the answer is the same for every initial state."""
-    try:
-        for r in sorted(c.procs):
-            project_behaviour(c, r)
-        return True
-    except Unprojectable:
-        return False
-
-
 def project_network(c, sigma: Mapping[tuple[str, str], Value]):
     """Build the network of all projected processes, each with its slice of
     the global store."""

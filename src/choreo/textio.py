@@ -887,25 +887,6 @@ def pretty_automaton(a: ConstraintAutomaton, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def pretty_program(prog: Program) -> str:
-    parts = [pretty_automaton(a) for a in prog.automata.values()]
-    bind_lines = []
-    for gamma, (template, subst) in prog.bindings.items():
-        pairs = ", ".join(f"{subst[port]}/{port}" for port in prog.automata[template].ports)
-        bind_lines.append(f"  {gamma}: {template}[{pairs}];")
-    parts.append("connectors {\n" + "\n".join(bind_lines) + "\n}")
-    init_lines = [
-        f"  {p}.{x} = {format_value(v)};"
-        for (p, x), v in sorted(prog.init_sigma.items())
-    ] + [
-        f"  {g}.{m} = {format_value(v)};"
-        for (g, m), v in sorted(prog.mem_overrides.items())
-    ]
-    parts.append("init {\n" + "\n".join(init_lines) + "\n}")
-    parts.append("main {\n" + pretty_chor(prog.main, 1) + "\n}")
-    return "\n\n".join(parts) + "\n"
-
-
 def pretty_behaviour(b: "epp.Behaviour", indent: int = 0) -> str:
     """Print a behaviour, its action spine in a loop."""
     pad = "  " * indent

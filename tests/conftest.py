@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from choreo import textio
+from choreo.core import ConstraintAutomaton
 
 FIXTURES = Path(
     os.environ.get("CHOREO_FIXTURES", Path(__file__).parent.parent / "src" / "choreo" / "fixtures")
@@ -22,8 +23,16 @@ def load_program(name: str) -> textio.Program:
     return textio.parse_program(fixture_text(name))
 
 
+def load_automaton(name: str) -> ConstraintAutomaton:
+    return textio.parse_automaton(fixture_text(name))
+
+
 def load_expect(name: str) -> dict:
     return json.loads(fixture_text(name))
+
+
+def list_fixtures(suffix: str = ".cr") -> list[str]:
+    return sorted(p.name for p in FIXTURES.iterdir() if p.name.endswith(suffix))
 
 
 @pytest.fixture

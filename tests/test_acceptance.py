@@ -31,18 +31,15 @@ from choreo.core import (
     instantiate,
     validate_interaction_set,
 )
-from choreo.harness import (
+from choreo.harness import correspondence_check, exhaustive_explore
+
+from conftest import FIXTURES, fixture_text, list_fixtures, load_automaton, load_program
+from support import (
     advance_until_connector,
-    correspondence_check,
-    exhaustive_explore,
     gen_random_program,
-    list_fixtures,
-    load_automaton,
     oracle_by_label,
     oracle_eta_reductions,
 )
-
-from conftest import FIXTURES, fixture_text, load_program
 
 
 def _flow(a: str, b: str) -> Flow:

@@ -34,7 +34,8 @@ from choreo.core import (
     sorted_etas,
 )
 
-from conftest import RING_AUTOMATA, load_program, ring_chain
+from conftest import RING_AUTOMATA, list_fixtures, load_program, ring_chain
+from support import gen_random_program
 
 
 def _phi(*pairs) -> Constraint:
@@ -170,8 +171,8 @@ def test_match_plans_give_what_a_fresh_match_gives() -> None:
     # a plan is worked out once per interaction set and constraint; a match
     # from a cold cache, from a warm one, and for an equal set built apart
     # ends the same, on every exposure of every fixture's first states
-    for name in harness.list_fixtures(".cr"):
-        prog = harness.load_program(name)
+    for name in list_fixtures(".cr"):
+        prog = load_program(name)
         start = ce.initial_configuration(prog)
         seen, queue = {start}, deque([start])
         for _ in range(100):
@@ -437,10 +438,10 @@ def test_double_merge_reaches_the_head() -> None:
 
 
 def _programs():
-    for name in harness.list_fixtures(".cr"):
-        yield harness.load_program(name)
+    for name in list_fixtures(".cr"):
+        yield load_program(name)
     for seed in range(300):
-        yield harness.gen_random_program(random.Random(seed))
+        yield gen_random_program(random.Random(seed))
     yield textio.parse_program(DOUBLE_MERGE)
 
 
@@ -557,7 +558,7 @@ def _walk_traffic(prog, limit: int = 30) -> list:
 def test_walk_traffic_is_pinned() -> None:
     # exposure counts and reduction order on every fixture, as recorded
     # before com and cond exposures shared one walk rule
-    programs = {name: harness.load_program(name) for name in harness.list_fixtures(".cr")}
+    programs = {name: load_program(name) for name in list_fixtures(".cr")}
     programs["DOUBLE_MERGE"] = textio.parse_program(DOUBLE_MERGE)
     assert sorted(WALK_PINS) == sorted(programs)
     for name, prog in programs.items():

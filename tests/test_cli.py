@@ -50,14 +50,24 @@ def test_validate_missing_file(capsys) -> None:
     assert code == 2
 
 
-@pytest.mark.parametrize("cmd", ["check", "run", "project", "correspond"])
+@pytest.mark.parametrize("cmd", ["check", "run", "project", "correspond", "simulate"])
 def test_choreography_commands_turn_a_network_away(capsys, cmd) -> None:
-    # a .cp is not read as a .cr: the error names the commands that take one
-    code, out, err = _run(capsys, cmd, _fx("booksale.cp"))
+    # a .cp is not read as a .cr, nor a .ca as either: the error names the
+    # commands that take one
+    takes = "a choreography (.cr)"
+    if cmd == "simulate":
+        takes = "a network (.cp) or a choreography (.cr)"
+    else:
+        code, out, err = _run(capsys, cmd, _fx("booksale.cp"))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: '{cmd}' takes a choreography (.cr), not a network (.cp); "
+            "use 'simulate' to run a network or 'validate' to check it\n"
+        )
+    code, out, err = _run(capsys, cmd, _fx("buffer1.ca"))
     assert (code, out) == (2, "")
     assert err == (
-        f"error: '{cmd}' takes a choreography (.cr), not a network (.cp); "
-        "use 'simulate' to run a network or 'validate' to check it\n"
+        f"error: '{cmd}' takes {takes}, not an automaton (.ca); use 'validate' to check it\n"
     )
 
 

@@ -17,16 +17,18 @@ from choreo.core import (
     ValCom,
     Var,
 )
-from choreo.harness import exhaustive_explore, load_automaton
+from choreo.harness import exhaustive_explore
 
 from conftest import (
     RING_AUTOMATA,
     fixture_text,
+    load_automaton,
     load_expect,
     load_program,
     parallel_pairs,
     ring_chain,
 )
+from support import gen_random_program
 
 VERDICTS = [
     ("booksale.cr", True, None, None),
@@ -77,22 +79,25 @@ def test_incompleteness_no_does_not_mean_deadlock() -> None:
         assert ex.truncated
 
 
-def test_procedure_checked_once_at_first_call_state() -> None:
-    # the loop returns to a different buffer state on re-entry, a No
+def test_procedure_checked_from_every_entry_state() -> None:
+    # the loop re-enters X with a token in the buffer where the first call
+    # found it empty: the body is checked from both states, a Yes
     etas = frozenset({ValCom("p", Var("x"), "q", "y")})
     c = Def("X", Prefix(etas, "g", Call("X")), Call("X"))
     from choreo.core import instantiate
 
     g = {"g": instantiate(load_automaton("buffer1.ca"), {"p1": "p", "p2": "q"}, name="g")}
     verdict = compat.check_compatibility(c, g)
-    assert not verdict.compatible
-    assert "re-entered" in verdict.reason
+    assert verdict.compatible
+    assert verdict.judgements_checked == 8
 
 
 # Each procedure is entered first with cell n holding true and re-entered
 # with n holding 1.  In COPY the body's one transition copies m into n.  In
 # PICK two transitions copy k or m into n, so the two orders of the body's
-# interactions reach the same judgement but for the type of n in it.
+# interactions reach the same judgement but for the type of n in it.  A
+# type-strict entry comparison checks the body from both states; one that
+# took 1 for true would check it once, in one judgement fewer.
 COPY = """automaton Copy {
   states 1;
   ports p1, p2;
@@ -138,17 +143,57 @@ main {
 """
 
 
-@pytest.mark.parametrize("text", [COPY, PICK], ids=["copy", "pick"])
-def test_procedure_state_comparison_is_type_strict(text) -> None:
-    # COPY needs a type-strict re-entry comparison.  PICK also needs a
+@pytest.mark.parametrize("text,judgements", [(COPY, 5), (PICK, 7)], ids=["copy", "pick"])
+def test_procedure_state_comparison_is_type_strict(text, judgements) -> None:
+    # COPY needs a type-strict entry comparison.  PICK also needs a
     # type-strict memo key: without one, the order that ends with n = 1 is
     # taken for the one that ends with n = true and skipped.
     prog = textio.parse_program(text)
     verdict = compat.check_compatibility(prog.main, prog.connectors)
-    assert not verdict.compatible
-    assert "re-entered" in verdict.reason
-    n = verdict.judgement.astate_map()["g"][1]["n"]
-    assert n == 1 and n is not True
+    assert verdict.compatible
+    assert verdict.judgements_checked == judgements
+
+
+# Programs whose procedure is re-entered with a second connector state, each
+# a No while a procedure was checked only from its first call's state: ten
+# generator seeds, and perfbench's counter loop (seed 1) through every kind
+# triple with a Buffer1, at 3 and 10 rounds, with its judgement count.
+REENTRY_SEEDS = [11, 20, 68, 72, 79, 154, 164, 198, 202, 219]
+REENTRY_LOOPS = {
+    ("Sync", "Sync", "Buffer1"): 16,
+    ("Sync", "Buffer1", "Sync"): 18,
+    ("Sync", "Buffer1", "Buffer1"): 22,
+    ("Buffer1", "Sync", "Sync"): 18,
+    ("Buffer1", "Sync", "Buffer1"): 22,
+    ("Buffer1", "Buffer1", "Sync"): 20,
+    ("Buffer1", "Buffer1", "Buffer1"): 24,
+}
+REENTRY_CASES = [(seed, None, None) for seed in REENTRY_SEEDS] + [
+    (None, rounds, kinds) for rounds in (3, 10) for kinds in REENTRY_LOOPS
+]
+
+
+@pytest.mark.parametrize(
+    "seed,rounds,kinds",
+    REENTRY_CASES,
+    ids=[f"seed{s}" if s is not None else f"loop{r}-{'-'.join(k)}" for s, r, k in REENTRY_CASES],
+)
+def test_procedures_reentered_with_another_state_check_yes_and_never_stick(
+    seed, rounds, kinds, monkeypatch
+) -> None:
+    if seed is not None:
+        prog = gen_random_program(random.Random(seed))
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+        import gen
+
+        prog = textio.parse_program(gen.loop(random.Random(1), rounds, kinds).text)
+    verdict = compat.check_compatibility(prog.main, prog.connectors)
+    assert verdict.compatible
+    if kinds is not None:
+        assert verdict.judgements_checked == REENTRY_LOOPS[kinds]
+    ex = exhaustive_explore(ce.initial_configuration(prog), prog.connectors, bound=200)
+    assert not ex.stuck and not ex.truncated
 
 
 def _unreduced(monkeypatch) -> None:

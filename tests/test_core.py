@@ -45,13 +45,10 @@ from choreo.core import (
 )
 from choreo.chor_engine import initial_configuration, known_pn
 from choreo.epp import BEND, PortName, Send, project_behaviour
-from choreo.harness import (
-    exhaustive_explore,
-    gen_random_program,
-    list_fixtures,
-    load_automaton,
-    load_program,
-)
+from choreo.harness import exhaustive_explore
+
+from conftest import fixture_text, list_fixtures, load_automaton, load_program
+from support import gen_random_program
 
 
 def test_label_never_equals_string() -> None:
@@ -139,13 +136,10 @@ def test_python_bools_are_not_values() -> None:
 
 
 _HASH_A_BUFFERED_STATE = """
+import sys
 from choreo import textio
 from choreo.chor_engine import initial_configuration
-from choreo.harness import fixture_path
-text = fixture_path("buffer1.ca").read_text() + (
-    "connectors { g: Buffer1[a/p1, b/p2]; } init { a.x = true; } main { a.x -> b.y thru g; 0 }"
-)
-print(hash(initial_configuration(textio.parse_program(text))))
+print(hash(initial_configuration(textio.parse_program(sys.stdin.read()))))
 """
 
 
@@ -157,9 +151,13 @@ def test_empty_cells_hash_alike_in_every_process() -> None:
         "PYTHONHASHSEED": "0",
         "PYTHONPATH": str(Path(choreo.__file__).parent.parent),
     }
+    text = fixture_text("buffer1.ca") + (
+        "connectors { g: Buffer1[a/p1, b/p2]; } init { a.x = true; } main { a.x -> b.y thru g; 0 }"
+    )
     hashes = {
         subprocess.run(
             [sys.executable, "-c", _HASH_A_BUFFERED_STATE],
+            input=text,
             env=env,
             capture_output=True,
             text=True,

@@ -6,13 +6,21 @@ import random
 import pytest
 
 from choreo import cp_engine as cpe
-from choreo import epp, harness, textio
+from choreo import epp, textio
 from choreo import chor_engine as ce
 from choreo.cli import _project
 from choreo.core import BOT, TRUE, Const, Constraint, Flow, Label, Mem, Port, Var
 from choreo.epp import BCall, BDef, BEnd, Branch, PortName, Recv, SelSend, Send
 
-from conftest import RING_AUTOMATA, fixture_text, load_program, parallel_pairs, ring_chain
+from conftest import (
+    RING_AUTOMATA,
+    fixture_text,
+    list_fixtures,
+    load_program,
+    parallel_pairs,
+    ring_chain,
+)
+from support import gen_random_program
 
 
 def _net(**procs) -> cpe.Network:
@@ -271,12 +279,12 @@ def test_a_run_builds_only_the_successor_it_takes(monkeypatch, k: int) -> None:
 def _fixture_networks():
     """Each fixture's network: the projection of every projectable `.cr`
     program, then every `.cp` file."""
-    for name in harness.list_fixtures(".cr"):
+    for name in list_fixtures(".cr"):
         try:
             yield _project(load_program(name))
         except epp.Unprojectable:
             pass
-    for name in harness.list_fixtures(".cp"):
+    for name in list_fixtures(".cp"):
         yield textio.parse_cp(fixture_text(name))
 
 
@@ -294,7 +302,7 @@ def test_a_run_without_a_seed_hashes_no_configuration(monkeypatch) -> None:
         textio.parse_program(parallel_pairs(k, kind))
         for k, kind in ((8, "Sync"), (8, "Buffer1"), (64, "Sync"))
     ]
-    programs = [load_program(name) for name in harness.list_fixtures(".cr")] + pairs
+    programs = [load_program(name) for name in list_fixtures(".cr")] + pairs
     runs = [(ce.run, ce.initial_configuration(prog), prog.connectors) for prog in programs]
     networks = itertools.chain(_fixture_networks(), map(_project, pairs))
     runs += [(cpe.cp_run, cp.init, cp.automata) for cp in networks]
@@ -457,7 +465,7 @@ def test_network_step_cost_does_not_grow_with_chain_length(monkeypatch) -> None:
 def _networks():
     yield from _fixture_networks()
     for seed in range(100):
-        yield _project(harness.gen_random_program(random.Random(seed)))
+        yield _project(gen_random_program(random.Random(seed)))
 
 
 def test_cached_port_classification_is_exact(monkeypatch) -> None:

@@ -28,10 +28,8 @@ from choreo.epp import (
     project_behaviour,
     project_connectors,
 )
-from choreo import harness
-from choreo.harness import gen_random_program, load_automaton
-
-from conftest import load_program
+from conftest import list_fixtures, load_automaton, load_program
+from support import gen_random_program, projectable
 
 import random
 
@@ -144,7 +142,7 @@ def test_unprojectable_conditional() -> None:
     with pytest.raises(Unprojectable) as err:
         project_behaviour(c, "b")
     assert err.value.process == "b"
-    assert not epp.projectable(c)
+    assert not projectable(c)
 
 
 def test_merge_failure_names_what_is_sent_and_what_is_received() -> None:
@@ -212,7 +210,7 @@ def test_project_connectors_rejects_underscores() -> None:
 def test_generated_programs_are_projectable() -> None:
     for i in range(40):
         prog = gen_random_program(random.Random(5000 + i))
-        assert epp.projectable(ce.normalize(prog.main))
+        assert projectable(ce.normalize(prog.main))
 
 
 def _projection_or_failure(cfg):
@@ -226,7 +224,7 @@ def test_memoised_projection_is_exact(monkeypatch) -> None:
     # the same network, stores and value types included, as a projection that
     # neither reads nor fills the `_proj` maps, on up to 60 breadth-first
     # states of each program; the maps persist from state to state
-    programs = [harness.load_program(name) for name in harness.list_fixtures(".cr")]
+    programs = [load_program(name) for name in list_fixtures(".cr")]
     programs += [gen_random_program(random.Random(seed)) for seed in range(300)]
     states = 0
     for prog in programs:

@@ -31,21 +31,26 @@ from choreo.core import (
     Var,
     validate_automaton,
 )
-from choreo.harness import (
+from choreo.harness import correspondence_check, exhaustive_explore
+
+from conftest import (
+    RING_AUTOMATA,
+    list_fixtures,
+    load_automaton,
+    load_program,
+    parallel_pairs,
+    ring_chain,
+)
+from support import (
+    advance_until_connector,
     bad_alternator,
-    correspondence_check,
     crossed_chain4,
     drop_transition,
-    exhaustive_explore,
     gen_random_program,
     oracle_by_label,
     oracle_eta_reductions,
-    load_automaton,
-    swap_ports,
     swapped_rendezvous,
 )
-
-from conftest import RING_AUTOMATA, load_program, parallel_pairs, ring_chain
 
 
 def _f(a, b) -> Flow:
@@ -98,7 +103,7 @@ def test_oracle_label_bound_is_a_pure_restriction() -> None:
 
 
 def test_every_automaton_fixture_parses_and_validates() -> None:
-    names = harness.list_fixtures(".ca")
+    names = list_fixtures(".ca")
     assert "sync.ca" in names and "bufferspread2.ca" in names
     for name in names:
         assert validate_automaton(load_automaton(name)) == [], name
@@ -187,7 +192,7 @@ CORRESPONDENCE = {
 
 
 def test_correspondence_counts_are_pinned_on_every_fixture() -> None:
-    assert sorted(CORRESPONDENCE) == harness.list_fixtures(".cr")
+    assert sorted(CORRESPONDENCE) == list_fixtures(".cr")
     for name, pinned in CORRESPONDENCE.items():
         prog = load_program(name)
         for bound, (pairs, gaps, truncated) in zip((3, 25), pinned):
@@ -256,7 +261,7 @@ def test_correspondence_reports_are_pinned() -> None:
     # every fixture at bounds 3 and 25, TWO_BUFFERS (1 gap) and the counter
     # loop of 3 and 10 rounds (2 and 9 gaps)
     keys = [key.rsplit(" ", 1) for key in CORRESPOND_PINS]
-    assert sorted(name for name, bound in keys if bound == "3") == harness.list_fixtures(".cr")
+    assert sorted(name for name, bound in keys if bound == "3") == list_fixtures(".cr")
     for name, bound in keys:
         report = correspondence_check(_pinned_program(name), bound=int(bound))
         got = {"gaps": report.gaps, "pairs_checked": report.pairs_checked, "truncated": report.truncated}
@@ -340,7 +345,7 @@ def test_correspondence_pair_cost_does_not_grow_with_chain_length(monkeypatch) -
 def test_advance_until_connector_stops_at_the_right_prefix() -> None:
     prog = load_program("booksale.cr")
     cfg = ce.initial_configuration(prog)
-    cfg2 = harness.advance_until_connector(cfg, prog.connectors, "ac2bs")
+    cfg2 = advance_until_connector(cfg, prog.connectors, "ac2bs")
     rs = ce.reductions(cfg2, prog.connectors)
     assert any(r.subject == "ac2bs" for r in rs)
 
@@ -383,7 +388,7 @@ def _counter_loop(monkeypatch, rounds: int, kinds: tuple, seed: int = 1) -> text
 
 
 def _memo_programs(monkeypatch):
-    for name in harness.list_fixtures(".cr"):
+    for name in list_fixtures(".cr"):
         yield 12, load_program(name)
     for seed in range(300):
         yield 12, gen_random_program(random.Random(seed))

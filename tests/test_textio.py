@@ -21,6 +21,7 @@ from choreo.core import (
 from choreo.textio import ParseError
 
 from conftest import FIXTURES, fixture_text, load_program, ring_chain
+from support import pretty_program
 
 CA_NAMES = sorted(p.name for p in FIXTURES.glob("*.ca"))
 CR_NAMES = sorted(p.name for p in FIXTURES.glob("*.cr"))
@@ -36,7 +37,7 @@ def test_automaton_round_trip(name: str) -> None:
 @pytest.mark.parametrize("name", CR_NAMES)
 def test_program_round_trip(name: str) -> None:
     prog = load_program(name)
-    again = textio.parse_program(textio.pretty_program(prog))
+    again = textio.parse_program(pretty_program(prog))
     assert again.main == prog.main
     assert again.connectors == prog.connectors
     assert again.init_sigma == prog.init_sigma
@@ -58,7 +59,7 @@ def test_long_chain_parses_and_prints_without_recursion() -> None:
     while isinstance(c, Prefix):
         c, prefixes = c.cont, prefixes + 1
     assert prefixes == 2000
-    assert textio.parse_program(textio.pretty_program(prog)).main == prog.main
+    assert textio.parse_program(pretty_program(prog)).main == prog.main
 
 
 def test_long_cp_process_round_trips() -> None:
