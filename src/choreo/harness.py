@@ -2,7 +2,7 @@
 `exhaustive_explore`, the breadth-first closure of the choreography's
 reduction relation, and `correspondence_check`, one joint search over
 (choreography, network) configuration pairs that matches every step of
-either semantics with steps of the other.
+either semantics with one step of the other.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import textio
 def exhaustive_explore(cfg: Configuration, g: ConnectorMapping, bound: int) -> Search:
     """Breadth-first closure of the reduction relation to the given depth.
     The search keeps one `StepMemo`."""
-    cfg = Configuration.make(normalize(cfg.chor), cfg.sigma_map(), cfg.astate_map())
+    cfg = Configuration(normalize(cfg.chor), cfg.sigma, cfg.astate)
     memo = StepMemo()
     return search(cfg, lambda c: reductions(c, g, memo), bound, lambda c: is_terminated(c))
 
@@ -61,39 +61,32 @@ def _project_cfg(cfg: Configuration) -> Network:
     return normalize_network(project_network(normalize(cfg.chor), SortedPairs(cfg.sigma)))
 
 
-# how many steps one side may take to match a single step of the other
-COMPLETION_DEPTH = 3
-
-
 def correspondence_check(program: "textio.Program", bound: int = 25) -> CorrespondenceReport:
     """Joint breadth-first check of the two semantics, as one search over
     (choreography, network) configuration pairs from the paired initial ones.
 
-    Every choreography reduction of a pair must be matched by network
-    reductions whose endpoint lies above the projected successor (pruning
-    order, equal connector states), and every network reduction
-    must be matched back by choreography reductions the same way.  Each match
-    gives a successor pair; each step without one is a gap.
+    The check is the one-step operational correspondence: every choreography
+    step of a pair must be matched by one network step whose endpoint lies
+    above the projected successor (pruning order, equal connector states),
+    and every network step must be matched back by one choreography step the
+    same way.  The first match in step order gives the successor pair; a
+    step without one is a gap.  So a gap is reported relative to the first
+    match taken on the way to its pair: another choice of match might avoid
+    it.
     """
     g = program.connectors
     pg = project_connectors(g)
     c0 = initial_configuration(program)
-    # Many pairs, both directions of a pair and the completion searches ask
-    # about the same states, so each choreography state is projected once and
-    # each verdict is worked out once, for the whole search.  Each side keeps
-    # one `StepMemo` for the search.
+    # Many pairs and both directions of a pair ask about the same states, so
+    # each choreography state is projected once and each verdict is worked
+    # out once, for the whole search.  Each side keeps one `StepMemo` for the
+    # search.
     projected: dict[Configuration, Network] = {c0: _project_cfg(c0)}
     verdicts: dict[tuple[Configuration, NetConfiguration], bool] = {}
     n0 = NetConfiguration.make(projected[c0], c0.astate_map())
     gaps: list[str] = []
     pairs = 0
     chor_memo, net_memo = StepMemo(), StepMemo()
-
-    def chor_steps(c: Configuration) -> list[Step]:
-        return reductions(c, g, chor_memo)
-
-    def net_steps(n: NetConfiguration) -> list[Step]:
-        return cp_reductions(n, pg, net_memo)
 
     def above(c: Configuration, n: NetConfiguration) -> bool:
         """Whether n lies above c's projection."""
@@ -107,24 +100,14 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
             v = verdicts[(c, n)] = pruning_leq(net, n.net)
         return v
 
-    def matched(start, steps: list[Step], successors, accept):
-        """The first one-step successor `accept` takes, else the first state
-        it takes within COMPLETION_DEPTH steps, else None.  One step on one
-        side may need several on the other: commuting an interaction forward
-        can require resolving an earlier one first."""
-        for step in steps:
-            if accept(step.config):
-                return step.config
-        return search(start, successors, COMPLETION_DEPTH, goal=accept).found
-
     def pair_steps(pair: tuple[Configuration, NetConfiguration]) -> list[Step]:
         nonlocal pairs
         pairs += 1
         cc, nc = pair
-        crs, nrs = chor_steps(cc), net_steps(nc)
+        crs, nrs = reductions(cc, g, chor_memo), cp_reductions(nc, pg, net_memo)
         out: list[Step] = []
         for cr in crs:
-            n = matched(nc, nrs, net_steps, lambda n: above(cr.config, n))
+            n = next((nr.config for nr in nrs if above(cr.config, nr.config)), None)
             if n is None:
                 gaps.append(
                     f"completeness: no network match for choreography step {_describe_step(cr)}"
@@ -132,7 +115,7 @@ def correspondence_check(program: "textio.Program", bound: int = 25) -> Correspo
             else:
                 out.append(cr._replace(config=(cr.config, n)))
         for nr in nrs:
-            c = matched(cc, crs, chor_steps, lambda c: above(c, nr.config))
+            c = next((cr.config for cr in crs if above(cr.config, nr.config)), None)
             if c is None:
                 gaps.append(
                     f"soundness: no choreography match for network step {_describe_step(nr)}"

@@ -152,7 +152,6 @@ class Search:
     stuck: set
     terminated: set
     truncated: bool
-    found: object = None
 
 
 def search(
@@ -160,7 +159,6 @@ def search(
     successors: Callable[[object], "list[Step]"],
     depth: int,
     terminated: "Callable[[object], bool] | None" = None,
-    goal: "Callable[[object], bool] | None" = None,
 ) -> Search:
     """Breadth-first closure of `successors` from `start`, `depth` levels
     deep.  A state without steps is recorded as stuck and a state the
@@ -170,9 +168,6 @@ def search(
     well: terminated, stuck, or, when they still have a step, as making the
     search `truncated`.  Without one, `successors` is never called on the
     last level, and `truncated` means that states were left there.
-
-    With a goal, the search stops at the first newly reached state the goal
-    accepts and returns it as `found`.
 
     Every edge, and every set of the result, holds the object first reached
     for a state, so an equal successor built later is not kept alive."""
@@ -205,9 +200,6 @@ def search(
                 if succ in nodes:
                     continue
                 nodes.add(succ)
-                if goal is not None and goal(succ):
-                    res.found = succ
-                    return res
                 nxt.append(succ)
         frontier = nxt
         if not frontier:

@@ -786,7 +786,8 @@ def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
         text = f"not {inner}"
         return f"({text})" if parent_prec > 3 else text
     prec = _PREC[e.op]
-    left = pretty_expr(e.left, prec)
+    # the grammar reads one comparison, so a comparison's operands bind tighter
+    left = pretty_expr(e.left, prec + 1 if prec == _PREC["="] else prec)
     right = pretty_expr(e.right, prec + 1)
     text = f"{left} {e.op} {right}"
     return f"({text})" if parent_prec > prec else text

@@ -138,6 +138,30 @@ main { if a.x then { a.x -> b.y thru g; 0 } else { 0 } }
     assert "not projectable" in out
 
 
+NESTED_COMPARISON = """
+automaton Sync {
+  states 1;
+  ports p1, p2;
+  init 1;
+  1 -> 1 on p1 > p2;
+}
+connectors { g: Sync[a/p1, b/p2]; }
+init { a.n = 1; }
+main { if a.(n < 3) = false then { 0 } else { 0 } }
+"""
+
+
+def test_project_writes_a_nested_comparison_guard_that_validates(tmp_path: Path, capsys) -> None:
+    src = tmp_path / "p.cr"
+    src.write_text(NESTED_COMPARISON)
+    out_file = tmp_path / "p.cp"
+    code, _, _ = _run(capsys, "project", str(src), "-o", str(out_file))
+    assert code == 0
+    assert "if (n < 3) = false then" in out_file.read_text()
+    code, _, err = _run(capsys, "validate", str(out_file))
+    assert (code, err) == (0, "")
+
+
 ONE_OR_TRUE = """
 automaton Sync {
   states 1;

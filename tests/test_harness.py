@@ -309,14 +309,10 @@ def _projection_calls_per_pair(monkeypatch, n: int) -> list[int]:
         calls[0] += 1
         return project_prefix(c, r, cont)
 
-    def outer_search(start, successors, depth, *args, **kwargs):
-        # the pair search is the outermost one; the matchers' completion
-        # searches run inside its successor function
+    def counting_search(start, successors, depth, *args, **kwargs):
         def counted(pair):
             before = calls[0]
-            with monkeypatch.context() as m:
-                m.setattr(harness, "search", search)
-                out = successors(pair)
+            out = successors(pair)
             per_pair.append(calls[0] - before)
             return out
 
@@ -325,7 +321,7 @@ def _projection_calls_per_pair(monkeypatch, n: int) -> list[int]:
     prog = textio.parse_program(ring_chain(n)[0])
     with monkeypatch.context() as m:
         m.setattr(epp, "_project_prefix", counted_prefix)
-        m.setattr(harness, "search", outer_search)
+        m.setattr(harness, "search", counting_search)
         report = correspondence_check(prog, bound=10 * n)
     assert (report.gaps, report.truncated) == ([], False)
     assert calls[0] >= 3 * n  # the initial projection is counted, so the count works

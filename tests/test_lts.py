@@ -80,17 +80,6 @@ def test_search_with_a_termination_test_classifies_the_last_level() -> None:
     assert (res.terminated, res.stuck, res.truncated) == ({2}, {3}, False)
 
 
-def test_search_with_a_goal_returns_the_first_accepted_new_state() -> None:
-    edges = {0: [0, 1, 2], 1: [3], 2: [4]}
-    assert search(0, _graph(edges)[0], 5, goal=lambda n: n >= 3).found == 3
-    assert search(0, _graph(edges)[0], 5, goal=lambda n: n % 2 == 0).found == 2
-    # the start is not new, and a goal beyond the bound is not reached
-    assert search(0, _graph(edges)[0], 5, goal=lambda n: n == 0).found is None
-    successors, calls = _graph(edges)
-    assert search(0, successors, 1, goal=lambda n: n == 3).found is None
-    assert calls == [0]
-
-
 def test_search_edges_hold_the_states_it_keeps() -> None:
     # every call builds fresh but equal successor objects
     def successors(n: tuple) -> list[Step]:

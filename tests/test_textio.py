@@ -246,3 +246,11 @@ def test_pretty_expr_round_trips_operators() -> None:
     assert textio.pretty_expr(e) == "x = 1 + 2"
     e2 = textio.parse_program(_main("if a.(not x) then { 0 } else { 0 }")).main.guard
     assert textio.pretty_expr(e2) == "not x"
+
+
+def test_pretty_expr_keeps_parentheses_on_a_comparison_operand() -> None:
+    # comparisons do not associate, so a comparison operand keeps its parentheses
+    for guard in ("(n < 3) = false", "(x = y) = z"):
+        e3 = textio.parse_program(_main(f"if a.({guard}) then {{ 0 }} else {{ 0 }}")).main.guard
+        printed = _main(f"if a.({textio.pretty_expr(e3)}) then {{ 0 }} else {{ 0 }}")
+        assert textio.parse_program(printed).main.guard == e3
