@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 class InputError(Exception):
@@ -724,24 +724,22 @@ def instantiate(
     if len(set(subst.values())) != len(subst):
         raise InputError(f"binding for {a.name} maps two ports to the same process")
 
-    return replace(
-        a,
-        name=name if name is not None else a.name,
-        ports=tuple(subst[p] for p in a.ports),
-        transitions=renamed_transitions(a, subst.__getitem__),
-    )
+    return renamed(a, a.name if name is None else name, subst)
 
 
-def renamed_transitions(a: ConstraintAutomaton, ren: Callable[[str], str]) -> tuple[Transition, ...]:
-    """a's transitions with every port p in their flows renamed to ren(p)."""
+def renamed(a: ConstraintAutomaton, name: str, ren: Mapping[str, str]) -> ConstraintAutomaton:
+    """a named `name`, with every port p renamed to ren[p] in its port list
+    and its flows."""
+    ports = {p: Port(ren[p]) for p in a.ports}
 
     def end(e: FlowEnd) -> FlowEnd:
-        return Port(ren(e.name)) if isinstance(e, Port) else e
+        return ports[e.name] if isinstance(e, Port) else e
 
-    return tuple(
+    transitions = tuple(
         Transition(t.src, Constraint(frozenset(Flow(end(f.src), end(f.dst)) for f in t.phi.flows)), t.dst)
         for t in a.transitions
     )
+    return replace(a, name=name, ports=tuple(ren[p] for p in a.ports), transitions=transitions)
 
 
 ConnectorMapping = Mapping[str, ConstraintAutomaton]

@@ -3,7 +3,7 @@ translation of a choreography plus connectors into a process network."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .core import (
@@ -423,14 +423,6 @@ def project_connectors(g: ConnectorMapping) -> dict[str, ConstraintAutomaton]:
             if "_" in p:
                 raise InputError(f"process name {p} may not contain '_'")
         directions = _port_directions(a)
-
-        def rename(p: str, gamma=gamma, directions=directions) -> str:
-            return PortName(directions.get(p, "o"), p, gamma).render()
-
-        out[gamma] = replace(
-            a,
-            name=gamma,
-            ports=tuple(rename(p) for p in a.ports),
-            transitions=core.renamed_transitions(a, rename),
-        )
+        ren = {p: PortName(directions.get(p, "o"), p, gamma).render() for p in a.ports}
+        out[gamma] = core.renamed(a, gamma, ren)
     return out

@@ -26,7 +26,9 @@ Grammar sketch (full EBNF in the README):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import (
     BOT,
@@ -80,83 +82,55 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_SYMBOLS = ("->", "!=", "{", "}", "(", ")", "[", "]", ";", ",", ".", "&", "=", "<", ">", "+", "-", "?", "/", ":")
+# Whitespace and comments match no named group and are skipped.  Newlines
+# occur only in whitespace and in strings, which may span lines.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]+ | \#[^\n]*
+    | "(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"
+    | (?P<number>[0-9]+)
+    | (?P<ident>[^\W\d]\w*)
+    | (?P<sym>->|!=|[{}()\[\];,.&=<>+\-?/:])
+    | (?P<other>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
+class _Token(NamedTuple):
     kind: str  # ident | number | string | sym | eof
     text: str
     line: int
     col: int
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+def _tokenize(src: str) -> list[_Token]:
+    """The tokens of src, then two eof tokens, so that looking one token
+    ahead never runs off the end."""
+    toks: list[_Token] = []
+    line, line_start, last = 1, 0, 0  # last: where the previous token starts
+    m = None
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n:
-                    esc = src[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(src[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            toks.append(_Tok("string", "".join(buf), line, col))
-            breaks = src.count("\n", i, j)
-            if breaks:  # a raw newline inside the literal
-                line += breaks
-                col = j - src.rindex("\n", i, j) + 1
-            else:
-                col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("number", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(_Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+        start = m.start()
+        breaks = src.count("\n", last, start)
+        if breaks:
+            line += breaks
+            line_start = src.rindex("\n", last, start) + 1
+        last, col, text = start, start - line_start + 1, m[kind]
+        # [^\W\d] also takes a digit that is not decimal, such as '²'
+        if kind == "other" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            what = "unterminated string" if text == '"' else f"unexpected character {text[0]!r}"
+            raise ParseError(what, line, col)
+        if kind == "string" and "\\" in text:
+            text = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
+        toks.append(_Token(kind, text, line, col))
+    # the end of input is reported where a comment that runs to it starts
+    end = m.start() if m and m[0].startswith("#") else len(src)
+    line += src.count("\n", last, end)
+    toks += [_Token("eof", "", line, end - src.rfind("\n", 0, end))] * 2
     return toks
 
 
@@ -167,10 +141,10 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> _Token:
+        return self.toks[self.pos + ahead]
 
-    def next(self) -> _Tok:
+    def next(self) -> _Token:
         t = self.toks[self.pos]
         if t.kind != "eof":
             self.pos += 1
@@ -205,12 +179,31 @@ class _Parser:
         self.next()
         return t.text
 
+    def renamed_port(self, what: str) -> str:
+        """A port of a network's automaton: o_<process>_<connector> or
+        i_<process>_<connector>."""
+        t = self.peek()
+        name = self.ident(what)
+        try:
+            epp.PortName.parse(name)
+        except InputError as exc:
+            raise ParseError(str(exc), t.line, t.col) from exc
+        return name
+
     def name_or_number(self, what: str = "name") -> str:
         t = self.peek()
         if t.kind not in ("ident", "number"):
             raise self.fail(f"expected {what}")
         self.next()
         return t.text
+
+    def listed(self, read, sep: str = ",") -> list:
+        """One or more items, each read by `read()`, separated by `sep`."""
+        out = [read()]
+        while self.at_sym(sep):
+            self.next()
+            out.append(read())
+        return out
 
     # -- literals and expressions -----------------------------------------
 
@@ -283,14 +276,15 @@ class _Parser:
 
     # -- automata ----------------------------------------------------------
 
-    def automaton_block(self) -> ConstraintAutomaton:
+    def automaton_block(self, port=None) -> ConstraintAutomaton:
+        """An automaton block; `port(what)` reads each declared port."""
         self.eat_word("automaton")
         name = self.ident("automaton name")
         self.eat_sym("{")
         self.eat_word("states")
         states = self._names(self.name_or_number, "state")
         self.eat_word("ports")
-        ports = self._names(self.ident, "port")
+        ports = self._names(port or self.ident, "port")
         mems: list[str] = []
         if self.at_word("mems"):
             self.next()
@@ -310,12 +304,19 @@ class _Parser:
         self.eat_sym(";")
         port_set, mem_set = set(ports), set(mems)
 
-        def flow_end(token_text: str, line: int, col: int) -> FlowEnd:
-            if token_text in port_set:
-                return Port(token_text)
-            if token_text in mem_set:
-                return Mem(token_text)
-            raise ParseError(f"{token_text} is neither a declared port nor a cell", line, col)
+        def flow_end() -> FlowEnd:
+            t = self.peek()
+            end = self.name_or_number("port or cell")
+            if end in port_set:
+                return Port(end)
+            if end in mem_set:
+                return Mem(end)
+            raise ParseError(f"{end} is neither a declared port nor a cell", t.line, t.col)
+
+        def flow() -> Flow:
+            src = flow_end()
+            self.eat_sym(">")
+            return Flow(src, flow_end())
 
         transitions: list[Transition] = []
         while not self.at_sym("}"):
@@ -323,20 +324,7 @@ class _Parser:
             self.eat_sym("->")
             dst = self.name_or_number("state")
             self.eat_word("on")
-            flows: list[Flow] = []
-            while True:
-                t1 = self.peek()
-                a = self.name_or_number("port or cell")
-                end1 = flow_end(a, t1.line, t1.col)
-                self.eat_sym(">")
-                t2 = self.peek()
-                b = self.name_or_number("port or cell")
-                end2 = flow_end(b, t2.line, t2.col)
-                flows.append(Flow(end1, end2))
-                if self.at_sym("&"):
-                    self.next()
-                    continue
-                break
+            flows = self.listed(flow, "&")
             self.eat_sym(";")
             transitions.append(Transition(src, Constraint(frozenset(flows)), dst))
         self.eat_sym("}")
@@ -345,10 +333,7 @@ class _Parser:
     def _names(self, read, what: str) -> list[str]:
         """A comma-separated list of names, each read by `read(what)`, and
         the ';' that ends it."""
-        names = [read(what)]
-        while self.at_sym(","):
-            self.next()
-            names.append(read(what))
+        names = self.listed(lambda: read(what))
         self.eat_sym(";")
         return names
 
@@ -428,19 +413,12 @@ class _Parser:
         return nxt.kind == "sym" and nxt.text in (".", "->", "?")
 
     def etaset(self, runtime: bool) -> frozenset[Interaction]:
+        open_tok = self.peek()
         if self.at_sym("{"):
-            open_tok = self.peek()
             self.next()
-            etas: set[Interaction] = set()
-            while True:
-                etas |= self.eta(runtime)
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
+            etas = set().union(*self.listed(lambda: self.eta(runtime)))
             self.eat_sym("}")
         else:
-            open_tok = self.peek()
             etas = set(self.eta(runtime))
         problems = validate_interaction_set(etas)
         if problems:
@@ -502,10 +480,7 @@ class _Parser:
 
         if self.at_sym("{"):
             self.next()
-            out = [one()]
-            while self.at_sym(","):
-                self.next()
-                out.append(one())
+            out = self.listed(one)
             self.eat_sym("}")
             return out
         return [one()]
@@ -538,11 +513,11 @@ def _validated(a: ConstraintAutomaton) -> ConstraintAutomaton:
     return a
 
 
-def _automata(p: _Parser) -> dict[str, ConstraintAutomaton]:
+def _automata(p: _Parser, port=None) -> dict[str, ConstraintAutomaton]:
     """The leading automaton blocks of a program or network, each validated."""
     automata: dict[str, ConstraintAutomaton] = {}
     while p.at_word("automaton"):
-        a = _validated(p.automaton_block())
+        a = _validated(p.automaton_block(port))
         automata[a.name] = a
     return automata
 
@@ -558,6 +533,12 @@ def parse_program(src: str, runtime: bool = False) -> Program:
     p.eat_word("connectors")
     p.eat_sym("{")
     bindings: dict[str, tuple[str, dict[str, str]]] = {}
+
+    def owner() -> tuple[str, str]:  # process/port, as (port, process)
+        proc = p.ident("process")
+        p.eat_sym("/")
+        return p.ident("port"), proc
+
     while not p.at_sym("}"):
         gamma_tok = p.peek()
         gamma = p.ident("connector name")
@@ -566,16 +547,7 @@ def parse_program(src: str, runtime: bool = False) -> Program:
         if template not in automata:
             raise ParseError(f"unknown automaton {template}", gamma_tok.line, gamma_tok.col)
         p.eat_sym("[")
-        subst: dict[str, str] = {}
-        while True:
-            proc = p.ident("process")
-            p.eat_sym("/")
-            port = p.ident("port")
-            subst[port] = proc
-            if p.at_sym(","):
-                p.next()
-                continue
-            break
+        subst = dict(p.listed(owner))
         p.eat_sym("]")
         p.eat_sym(";")
         if gamma in bindings:
@@ -628,7 +600,7 @@ def parse_automaton(src: str) -> ConstraintAutomaton:
 
 def parse_cp(src: str) -> "cp_engine.CpProgram":
     p = _Parser(src)
-    automata = _automata(p)
+    automata = _automata(p, p.renamed_port)
     stores: dict[str, dict[str, Value]] = {}
     overrides: dict[tuple[str, str], Value] = {}
     for owner, slot, v in p.init_block():
@@ -664,9 +636,13 @@ def parse_cp(src: str) -> "cp_engine.CpProgram":
 def _port(p: _Parser, proc: str) -> "epp.PortName":
     tok = p.peek()
     name = p.ident("port")
-    if "_" not in name or name.split("_", 1)[0] not in ("o", "i"):
-        raise ParseError(f"port {name} must look like o_<connector> or i_<connector>", tok.line, tok.col)
-    direction, connector = name.split("_", 1)
+    direction, _, connector = name.partition("_")
+    if direction not in ("o", "i") or not connector or "_" in connector:
+        raise ParseError(
+            f"port {name} must look like o_<connector> or i_<connector>, the connector without '_'",
+            tok.line,
+            tok.col,
+        )
     return epp.PortName(direction, proc, connector)
 
 
@@ -845,23 +821,20 @@ def pretty_chor(c, indent: int = 0) -> str:
     elif isinstance(c, Call):
         lines.append(f"{pad}{c.name}")
     elif isinstance(c, Cond):
-        lines.append(
-            f"{pad}if {c.process}.{pretty_expr(c.guard)} then {{\n"
-            + pretty_chor(c.then_branch, indent + 1)
-            + f"\n{pad}}} else {{\n"
-            + pretty_chor(c.else_branch, indent + 1)
-            + f"\n{pad}}}"
-        )
+        head = f"if {c.process}.{pretty_expr(c.guard)} then"
+        lines.append(_blocks(pretty_chor, indent, head, c.then_branch, "else", c.else_branch))
     else:
         assert isinstance(c, Def)
-        lines.append(
-            f"{pad}def {c.name} = {{\n"
-            + pretty_chor(c.body, indent + 1)
-            + f"\n{pad}}} in {{\n"
-            + pretty_chor(c.cont, indent + 1)
-            + f"\n{pad}}}"
-        )
+        lines.append(_blocks(pretty_chor, indent, f"def {c.name} =", c.body, "in", c.cont))
     return "\n".join(lines)
+
+
+def _blocks(pretty, indent: int, head: str, first, mid: str, second) -> str:
+    """`head { first } mid { second }`, each block printed by `pretty` one
+    level in."""
+    pad = "  " * indent
+    a, b = pretty(first, indent + 1), pretty(second, indent + 1)
+    return f"{pad}{head} {{\n{a}\n{pad}}} {mid} {{\n{b}\n{pad}}}"
 
 
 def pretty_constraint(phi: Constraint) -> str:
@@ -912,22 +885,11 @@ def pretty_behaviour(b: "epp.Behaviour", indent: int = 0) -> str:
             lines.append(f"{pad}  }}")
         lines.append(f"{pad}}}")
     elif isinstance(b, epp.BCond):
-        lines.append(
-            f"{pad}if {pretty_expr(b.guard)} then {{\n"
-            + pretty_behaviour(b.then_branch, indent + 1)
-            + f"\n{pad}}} else {{\n"
-            + pretty_behaviour(b.else_branch, indent + 1)
-            + f"\n{pad}}}"
-        )
+        head = f"if {pretty_expr(b.guard)} then"
+        lines.append(_blocks(pretty_behaviour, indent, head, b.then_branch, "else", b.else_branch))
     else:
         assert isinstance(b, epp.BDef)
-        lines.append(
-            f"{pad}def {b.name} = {{\n"
-            + pretty_behaviour(b.body, indent + 1)
-            + f"\n{pad}}} in {{\n"
-            + pretty_behaviour(b.cont, indent + 1)
-            + f"\n{pad}}}"
-        )
+        lines.append(_blocks(pretty_behaviour, indent, f"def {b.name} =", b.body, "in", b.cont))
     return "\n".join(lines)
 
 

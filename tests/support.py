@@ -45,7 +45,7 @@ from choreo.core import (
     Var,
     desugar_multicast,
     instantiate,
-    renamed_transitions,
+    renamed,
     sorted_etas,
 )
 from choreo.chor_engine import Configuration, eval_expr, freeze_store, normalize, reductions
@@ -62,8 +62,8 @@ def swap_ports(a: ConstraintAutomaton, x: str, y: str, name: "str | None" = None
     """Exchange two ports in every flow, keeping everything else intact."""
 
     swap = {x: y, y: x}
-    transitions = renamed_transitions(a, lambda p: swap.get(p, p))
-    return replace(a, name=name or a.name, transitions=transitions)
+    # the swap leaves the port set as it is, so the port list keeps its order
+    return replace(renamed(a, name or a.name, {p: swap.get(p, p) for p in a.ports}), ports=a.ports)
 
 
 def relabel_transition(

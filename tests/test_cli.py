@@ -190,6 +190,47 @@ def test_branches_sending_one_and_true_stay_apart(tmp_path: Path, capsys) -> Non
     assert res.final.sigma_map()[("r", "x")] is TRUE
 
 
+UNDERSCORED_CONNECTOR = """
+automaton a_b {
+  states 1;
+  ports o_p_a_b, i_q_a_b;
+  init 1;
+  1 -> 1 on o_p_a_b > i_q_a_b;
+}
+init { p.x = 1; }
+network {
+  p { send o_a_b <x>; 0 }
+  q { recv i_a_b y; 0 }
+}
+"""
+
+
+def test_network_ports_are_checked_where_they_are_read(tmp_path: Path, capsys) -> None:
+    # a connector named with '_' makes ports that name no (direction,
+    # process, connector) triple: validate rejects them as simulate does
+    f = tmp_path / "n.cp"
+    f.write_text(UNDERSCORED_CONNECTOR)
+    expected = (2, "", "error: 4:9: not a renamed port: o_p_a_b\n")
+    assert _run(capsys, "validate", str(f)) == expected
+    assert _run(capsys, "simulate", str(f)) == expected
+    # with well-formed automaton ports, the behaviour's port is at fault
+    f.write_text(UNDERSCORED_CONNECTOR.replace("_a_b", "_ab").replace("a_b {", "ab {"))
+    assert _run(capsys, "validate", str(f))[0] == 0
+    f.write_text(UNDERSCORED_CONNECTOR.replace("_a_b", "_ab").replace("send o_ab", "send o_a_b"))
+    message = "port o_a_b must look like o_<connector> or i_<connector>, the connector without '_'"
+    for cmd in ("validate", "simulate"):
+        assert _run(capsys, cmd, str(f)) == (2, "", f"error: 10:12: {message}\n")
+
+
+@pytest.mark.parametrize("cmd", ["validate", "run"])
+def test_a_non_decimal_digit_is_a_parse_error(tmp_path: Path, capsys, cmd) -> None:
+    # '²' is a digit to str.isdigit, but not a decimal one: no number starts
+    # with it, and it is reported where it stands
+    f = tmp_path / "p.cr"
+    f.write_text(fixture_text("once.cr").replace("a.x = 1;", "a.x = \u00b2;"))
+    assert _run(capsys, cmd, str(f)) == (2, "", "error: 20:9: unexpected character '\u00b2'\n")
+
+
 def test_simulate_network_file(capsys) -> None:
     code, out, _ = _run(capsys, "simulate", _fx("booksale.cp"))
     assert code == 0

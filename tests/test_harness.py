@@ -374,6 +374,102 @@ main {
 """
 
 
+# a.x and b.x hold 1 at the first test of a.(x = 1) and true at the second,
+# which sends the loop through d, a connector that never fires.  The two
+# states differ only in those values, so a search that held 1 and true equal
+# would take the second for the first and miss the stuck state.
+ONE_THEN_TRUE = RING_AUTOMATA + """
+automaton Never {
+  states 1, 2;
+  ports p1, p2;
+  init 1;
+  2 -> 2 on p1 > p2;
+}
+connectors {
+  f: Sync[a/p1, b/p2];
+  h: Sync[b/p1, a/p2];
+  d: Never[a/p1, b/p2];
+}
+init { a.x = 1; b.x = 1; }
+main {
+  def X = {
+    if a.(x = 1) then {
+      a -> b [more] thru f;
+      a.(x = x) -> b.x thru f;
+      b.x -> a.x thru h;
+      X
+    } else {
+      a -> b [done] thru f;
+      a.x -> b.x thru d;
+      0
+    }
+  } in {
+    X
+  }
+}
+"""
+
+
+def _one_for_true(x):
+    """x with every true read as 1, through nested tuples."""
+    if x is TRUE:
+        return 1
+    return tuple(_one_for_true(y) for y in x) if isinstance(x, tuple) else x
+
+
+class _OneIsTrue:
+    """A state that equals another when they differ only in holding 1 or
+    true: what a search would see if values compared as Python's do."""
+
+    def __init__(self, state, key) -> None:
+        self.state, self.key = state, key(state)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
+def test_states_that_differ_only_in_one_or_true_are_searched_apart() -> None:
+    prog = textio.parse_program(ONE_THEN_TRUE)
+    g = prog.connectors
+    cp = _project(prog)
+    start = ce.initial_configuration(prog)
+    # each semantics: its search, its start, steps and end, the state as a
+    # search that merged 1 and true would key it, and a's x in a state
+    for res, first, successors, terminated, key, held in (
+        (
+            exhaustive_explore(start, g, 30),
+            ce.Configuration(ce.normalize(start.chor), start.sigma, start.astate),
+            lambda c: ce.reductions(c, g),
+            ce.is_terminated,
+            lambda c: (c.chor, _one_for_true(c.sigma), c.astate),
+            lambda c: dict(c.sigma)[("a", "x")],
+        ),
+        (
+            search(cp.init, lambda n: cpe.cp_reductions(n, cp.automata), 30, cpe.cp_terminated),
+            cp.init,
+            lambda n: cpe.cp_reductions(n, cp.automata),
+            cpe.cp_terminated,
+            lambda n: (_one_for_true(n.net.procs), n.astate),
+            lambda n: dict(n.net.proc_map()["a"][0])["x"],
+        ),
+    ):
+        assert not res.truncated and not res.terminated
+        (stuck,) = res.stuck
+        assert held(stuck) is TRUE
+        # merged, the state holding true at the test is the one holding 1,
+        # so it is never stepped, and the stuck state is never reached
+        merged = search(
+            _OneIsTrue(first, key),
+            lambda w: [s._replace(config=_OneIsTrue(s.config, key)) for s in successors(w.state)],
+            30,
+            lambda w: terminated(w.state),
+        )
+        assert not merged.stuck and len(merged.nodes) < len(res.nodes)
+
+
 def _counter_loop(monkeypatch, rounds: int, kinds: tuple, seed: int = 1) -> textio.Program:
     """The benchmark's counter loop with the given (fwd, back, sel) kinds.
     The seed picks the names."""

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,46 @@ def test_positions_count_raw_newlines_in_strings(init: str, main: str, where: st
     with pytest.raises(ParseError) as err:
         textio.parse_program(src)
     assert str(err.value).startswith(where + ": unexpected character '@'")
+
+
+TOKEN_PINS = json.loads((Path(__file__).parent / "token_pins.json").read_text(encoding="utf-8"))
+
+
+def _tokens(src: str) -> list[list]:
+    return [list(t) for t in textio._tokenize(src)]
+
+
+def test_token_streams_are_pinned() -> None:
+    # (kind, text, line, col) of every token of every fixture, and of a source
+    # with tabs, comments, every escape, strings over several lines and
+    # identifiers led by '_' or a non-ASCII letter.  Each pinned stream ends
+    # in its eof token, which the lexer repeats so that looking one token
+    # ahead never runs off the end.
+    assert sorted(TOKEN_PINS["fixtures"]) == sorted(
+        p.name for p in FIXTURES.iterdir() if p.suffix in (".ca", ".cr", ".cp")
+    )
+    for name, pinned in TOKEN_PINS["fixtures"].items():
+        assert _tokens(fixture_text(name)) == pinned + pinned[-1:], name
+    edge = TOKEN_PINS["edge"]
+    assert _tokens(edge["source"]) == edge["tokens"] + edge["tokens"][-1:]
+
+
+@pytest.mark.parametrize(
+    "src, error",
+    [
+        ('a.x = "two\nlines"; @', "2:9: unexpected character '@'"),
+        ('a.x = "abc', "1:7: unterminated string"),
+        ('x\n  "ab\ncd', "2:3: unterminated string"),
+        ('x "ab\\', "1:3: unterminated string"),  # the backslash escapes nothing
+        ("a.x = \u00b2;", "1:7: unexpected character '\u00b2'"),
+        ("a.x = 1\u00b2;", "1:8: unexpected character '\u00b2'"),
+        ("a.x = \u0663;", "1:7: unexpected character '\u0663'"),  # numbers are ASCII digits
+    ],
+)
+def test_lexer_errors_carry_their_position(src: str, error: str) -> None:
+    with pytest.raises(ParseError) as err:
+        textio._tokenize(src)
+    assert str(err.value) == error
 
 
 def test_unknown_connector_rejected() -> None:
